@@ -18,18 +18,15 @@ Subcommands
 
 Exit status: 0 when every asserted check passed (or the command is pure
 computation), 1 when any asserted check failed (for ``equal``: the words
-disagree), 2 on usage errors.  Output is JSON by default (``--format text``
-for a human summary); with identical configuration and seed the JSON output
-is byte-identical across runs.  The ``NV_THREADS`` environment variable is
-validated and echoed in the configuration block; computations are exact and
-run sequentially regardless of its value.
+disagree), 2 on usage errors and invalid inputs.  Output is JSON by default
+(``--format text`` for a human summary); with identical configuration and
+seed the JSON output is byte-identical across runs.
 """
 
 from __future__ import annotations
 
 import argparse
 import json
-import os
 import sys
 from fractions import Fraction
 from typing import Any
@@ -46,6 +43,7 @@ from nvcalc.element_algebra import (
     random_element,
     simplify,
     support,
+    validate,
 )
 from nvcalc.ends_cocycle import (
     f_P_probe,
@@ -113,6 +111,8 @@ def _load_element(args: argparse.Namespace) -> Element:
             raise UsageError(f"cannot read element file: {exc}") from exc
         except (ValueError, KeyError, TypeError) as exc:
             raise UsageError(f"bad element file: {exc}") from exc
+        if not validate(g):
+            raise UsageError("bad element file: pieces do not partition the cube")
         if args.n is not None and g.dim != args.n:
             raise UsageError(
                 f"element file has dimension {g.dim}, but --n {args.n} given"
@@ -121,21 +121,7 @@ def _load_element(args: argparse.Namespace) -> Element:
         return g
     if args.n is None:
         raise UsageError("--n is required with --word")
-    try:
-        return eval_word(args.word, args.n)
-    except ValueError as exc:
-        raise UsageError(str(exc)) from exc
-
-
-def _threads() -> int:
-    raw = os.environ.get("NV_THREADS", "1")
-    try:
-        t = int(raw)
-    except ValueError as exc:
-        raise UsageError(f"NV_THREADS must be an integer, got {raw!r}") from exc
-    if t < 1:
-        raise UsageError(f"NV_THREADS must be >= 1, got {t}")
-    return t
+    return eval_word(args.word, args.n)
 
 
 def _element_summary(g: Element) -> dict[str, Any]:
@@ -159,11 +145,8 @@ def _run(args: argparse.Namespace) -> tuple[dict[str, Any], bool]:
         w2 = args.word2 if args.word2 is not None else args.w2
         if w1 is None or w2 is None:
             raise UsageError("equal needs --word1/--w1 and --word2/--w2")
-        try:
-            g = eval_word(w1, args.n)
-            h = eval_word(w2, args.n)
-        except ValueError as exc:
-            raise UsageError(str(exc)) from exc
+        g = eval_word(w1, args.n)
+        h = eval_word(w2, args.n)
         same = equals(g, h)
         return {"equal": same}, same
     if cmd == "apply":
@@ -200,8 +183,7 @@ def _run(args: argparse.Namespace) -> tuple[dict[str, Any], bool]:
         full = sym_diff_truncated(g, max(depths))
         surveys = []
         for d in depths:
-            truncated = sym_diff_truncated(g, d) if d < full.depth else full
-            entry = truncated.to_dict()
+            entry = full.at_depth(d).to_dict()
             del entry["out_side"], entry["in_side"]
             surveys.append(entry)
         return {"depths": depths, "surveys": surveys}, True
@@ -218,15 +200,13 @@ def _run(args: argparse.Namespace) -> tuple[dict[str, Any], bool]:
     raise UsageError(f"unknown command {cmd!r}")
 
 
-def _config_echo(args: argparse.Namespace, threads: int) -> dict[str, Any]:
+def _config_echo(args: argparse.Namespace) -> dict[str, Any]:
     skip = {"command", "format", "output", "func"}
-    cfg = {
+    return {
         k: v
         for k, v in sorted(vars(args).items())
         if k not in skip and v is not None
     }
-    cfg["threads"] = threads
-    return cfg
 
 
 def _render_text(envelope: dict[str, Any]) -> str:
@@ -410,16 +390,15 @@ def main(argv: list[str] | None = None) -> int:
         code = exc.code
         return code if isinstance(code, int) else 2
     try:
-        threads = _threads()
         report, ok = _run(args)
-    except UsageError as exc:
+    except (UsageError, ValueError) as exc:
         print(f"error: {exc}", file=sys.stderr)
         return 2
     envelope = {
         "tool": "nvcalc",
         "version": __version__,
         "command": args.command,
-        "config": _config_echo(args, threads),
+        "config": _config_echo(args),
         "ok": ok,
         "report": report,
     }

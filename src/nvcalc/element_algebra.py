@@ -33,6 +33,7 @@ from nvcalc.dyadic_core import (
     SplitNode,
     SplitTree,
     contains_point,
+    halve,
     is_partition,
     rect_intersect,
     tree_leaves,
@@ -356,19 +357,10 @@ def expansion(g: Element, piece_index: int, d: int) -> Element:
     """Replace one piece by its two ``d``-halves on both sides (same map)."""
     if not 0 <= piece_index < len(g.pieces):
         raise ValueError(f"piece index {piece_index} out of range")
-    if not 1 <= d <= g.dim:
-        raise ValueError(f"coordinate {d} out of range for dimension {g.dim}")
     target = g.pieces[piece_index]
     rest = [p for i, p in enumerate(g.pieces) if i != piece_index]
-    i = d - 1
-    for bit in "01":
-        dom = Rect(
-            target.dom.words[:i] + (target.dom.words[i] + bit,) + target.dom.words[i + 1:]
-        )
-        ran = Rect(
-            target.ran.words[:i] + (target.ran.words[i] + bit,) + target.ran.words[i + 1:]
-        )
-        rest.append(AffinePiece(dom, ran))
+    halves = zip(halve(target.dom, d), halve(target.ran, d))
+    rest.extend(AffinePiece(dom, ran) for dom, ran in halves)
     return Element.from_pieces(rest)
 
 

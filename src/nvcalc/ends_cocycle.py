@@ -32,6 +32,7 @@ finite generating set to compare piece counts against a properness bound.
 from __future__ import annotations
 
 import math
+from collections import Counter
 from dataclasses import dataclass, field
 from fractions import Fraction
 
@@ -43,6 +44,7 @@ from nvcalc.dyadic_core import (
     corner_projections,
     corners,
     enumerate_rects,
+    halve,
     rect_Il,
     rect_Ir,
     rect_intersect,
@@ -202,14 +204,6 @@ def rect_to_coset(r: Rect) -> Element:
     return Element.from_pieces(pieces)
 
 
-def _children(r: Rect) -> list[Rect]:
-    out = []
-    for d in range(r.dim):
-        for bit in ("0", "1"):
-            out.append(Rect(r.words[:d] + (r.words[d] + bit,) + r.words[d + 1:]))
-    return out
-
-
 def _failing_rects(g: Element, depth: int) -> list[Rect]:
     """All rectangles of depth <= ``depth`` on which g is not one substitution.
 
@@ -228,7 +222,9 @@ def _failing_rects(g: Element, depth: int) -> list[Rect]:
         d += 1
         if d > depth:
             break
-        frontier = sorted({c for r in frontier for c in _children(r)})
+        frontier = sorted(
+            {c for r in frontier for k in range(1, g.dim + 1) for c in halve(r, k)}
+        )
     return failing
 
 
@@ -286,6 +282,21 @@ class TruncatedCocycle:
             "open_finding": self.open_finding,
         }
 
+    def at_depth(self, d: int) -> TruncatedCocycle:
+        """The truncation at depth ``d`` <= ``depth``, read off these members.
+
+        Equals ``sym_diff_truncated(element, d)``: the search is exact, so
+        the failing rectangles of depth <= d are the same at every depth.
+        """
+        if not 0 <= d <= self.depth:
+            raise ValueError(f"depth {d} outside 0..{self.depth}")
+        return _truncation(
+            self.element,
+            d,
+            [m.rect for m in self.out_side if m.rect.depth <= d],
+            [r for r in self.in_side if r.depth <= d],
+        )
+
 
 def sym_diff_truncated(g: Element, depth: int) -> TruncatedCocycle:
     """Enumerate X Δ gX over rectangles of depth <= ``depth``.
@@ -299,6 +310,13 @@ def sym_diff_truncated(g: Element, depth: int) -> TruncatedCocycle:
         raise ValueError("depth must be >= 0")
     out_rects = [r for r in _failing_rects(inverse(g), depth) if r.depth >= 1]
     in_rects = [r for r in _failing_rects(g, depth) if r.depth >= 1]
+    return _truncation(g, depth, out_rects, in_rects)
+
+
+def _truncation(
+    g: Element, depth: int, out_rects: list[Rect], in_rects: list[Rect]
+) -> TruncatedCocycle:
+    """Counts and verdict for the members of X Δ gX up to ``depth``."""
     members = out_rects + in_rects
     counts = tuple(
         sum(1 for r in members if r.depth <= d) for d in range(depth + 1)
@@ -336,11 +354,14 @@ def cocycle_identity_check(
 ) -> CheckReport:
     """Check ``pi_gh(c) = pi_g(c) + pi_h(g^{-1} c)`` on a family of cosets.
 
-    ``pi_g(c) = [c in gX] - [c in X]``.  The left side translates by the
-    single composed element (gh)^{-1}; the right side translates stepwise by
-    g^{-1} and then h^{-1}, so the two sides follow genuinely different
-    computation paths through the group arithmetic.  Test cosets: every
-    proper rectangle of depth <= ``depth`` plus its g- and gh-translates.
+    ``pi_g(c) = [c in gX] - [c in X]``.  The right side telescopes to
+    ``[h^{-1} g^{-1} c in X] - [c in X]``, so the identity says that
+    (gh)^{-1}.c and h^{-1}.(g^{-1}.c) have the same X-membership.  Each check
+    asserts the stronger statement that the two cosets are equal; the left
+    translates by the single composed element (gh)^{-1}, the right stepwise
+    by g^{-1} and then h^{-1}, so the two follow genuinely different paths
+    through the group arithmetic.  Test cosets: every proper rectangle of
+    depth <= ``depth`` plus its g- and gh-translates.
     """
     if g.dim != h.dim:
         raise ValueError(f"dimension mismatch: {g.dim} vs {h.dim}")
@@ -350,13 +371,7 @@ def cocycle_identity_check(
     g_inv = inverse(g)
     h_inv = inverse(h)
     report = CheckReport("cocycle_identity", n, {"depth": depth})
-
-    def chi(member: XMember | None) -> int:
-        return 0 if member is None else 1
-
     for r in enumerate_rects(n, depth):
-        if r.depth == 0:
-            continue
         base = coset_of(rect_to_coset(r))
         name = ",".join(w or "e" for w in r.words)
         for label, c in (
@@ -364,19 +379,12 @@ def cocycle_identity_check(
             (f"g.R[{name}]", coset_translate(g, base)),
             (f"gh.R[{name}]", coset_translate(gh, base)),
         ):
-            lhs = chi(in_X(coset_translate(gh_inv, c))) - chi(in_X(c))
-            g_shift = coset_translate(g_inv, c)
-            rhs = (
-                chi(in_X(g_shift))
-                - chi(in_X(c))
-                + chi(in_X(coset_translate(h_inv, g_shift)))
-                - chi(in_X(g_shift))
-            )
+            stepwise = coset_translate(h_inv, coset_translate(g_inv, c))
             report.checks.append(
                 CheckResult(
                     "cocycle_identity",
                     f"pi_gh = pi_g + g.pi_h at {label}",
-                    lhs == rhs,
+                    coset_eq(coset_translate(gh_inv, c), stepwise),
                 )
             )
     return report
@@ -493,8 +501,6 @@ def f_P_probe(
     members: list[Rect] = []
     corner_members: list[Rect] = []
     for r in enumerate_rects(n, depth):
-        if r.depth == 0:
-            continue
         inside_one_cell = any(
             rect_relation(r, cell)
             in (RectRelation.EQUAL, RectRelation.B_CONTAINS_A)
@@ -580,7 +586,9 @@ def properness_bound_check(
     table of g has at most (m + 4)^n cells — a small symmetric difference
     forces a coarse element, the quantitative heart of properness of the
     coset action.  Elements whose truncation is still growing are reported
-    as findings, never asserted either way.
+    as findings, never asserted either way.  ``params["bound_slack"]`` is
+    the sorted histogram ``[[bound - pieces, count], ...]`` over the stable
+    elements.
     """
     report = CheckReport(
         "properness_bound",
@@ -592,6 +600,7 @@ def properness_bound_check(
     )
     elements = _ball_elements(n, ball_radius)
     stable = growing = 0
+    slack: Counter[int] = Counter()
     for label, g in elements:
         d = depth if depth is not None else element_depth(g) + 1
         t = sym_diff_truncated(g, d)
@@ -600,6 +609,7 @@ def properness_bound_check(
         word = label or "<empty>"
         if t.stable_depth is not None:
             stable += 1
+            slack[bound - pieces] += 1
             report.checks.append(
                 CheckResult(
                     "piece_bound",
@@ -622,6 +632,7 @@ def properness_bound_check(
     report.params["num_elements"] = len(elements)
     report.params["num_stable"] = stable
     report.params["num_growing"] = growing
+    report.params["bound_slack"] = [[s, slack[s]] for s in sorted(slack)]
     return report
 
 

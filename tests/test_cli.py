@@ -79,6 +79,23 @@ def test_unknown_flag_exit_two(capsys):
     assert run(capsys, ["eval", "--n", "1", "--word", "X[1,0]", "--bogus"])[0] == 2
 
 
+@pytest.mark.parametrize(
+    "argv",
+    [
+        ["relations", "--n", "1", "--imax", "2"],
+        ["cocycle", "--n", "1", "--word", "X[1,0]", "--depth", "-1"],
+        ["random", "--n", "1", "--size", "0"],
+    ],
+    ids=lambda argv: argv[0],
+)
+def test_library_value_error_exit_two(capsys, argv):
+    code, out, err = run(capsys, argv)
+    assert code == 2
+    assert out == ""
+    assert err.startswith("error: ")
+    assert err.count("\n") == 1
+
+
 # ---------------------------------------------------------------------------
 # computation commands
 
@@ -199,6 +216,10 @@ def test_properness_command(capsys):
     assert rep["all_pass"] is True
     assert rep["params"]["num_elements"] == 44
     assert rep["params"]["depth"] == "adaptive"
+    slack = rep["params"]["bound_slack"]
+    assert sum(count for _, count in slack) == rep["params"]["num_stable"]
+    assert all(s >= 0 for s, _ in slack)
+    assert slack == sorted(slack)
 
 
 def test_random_command_deterministic(capsys):
@@ -247,6 +268,26 @@ def test_element_file_errors(tmp_path, capsys):
     assert run(capsys, ["eval", "--element-file", str(bad)])[0] == 2
 
 
+@pytest.mark.parametrize(
+    "pieces, argv",
+    [
+        (  # overlapping domains
+            [{"dom": ["0"], "ran": ["0"]}, {"dom": ["0"], "ran": ["1"]}],
+            ["cocycle", "--depth", "3"],
+        ),
+        ([{"dom": ["0"], "ran": ["0"]}], ["apply", "--point", "3/4"]),  # no cover
+    ],
+    ids=["overlap", "gap"],
+)
+def test_element_file_must_partition_the_cube(tmp_path, capsys, pieces, argv):
+    path = tmp_path / "g.json"
+    path.write_text(json.dumps({"n": 1, "pieces": pieces}), encoding="utf-8")
+    code, out, err = run(capsys, argv + ["--element-file", str(path)])
+    assert code == 2
+    assert out == ""
+    assert err == "error: bad element file: pieces do not partition the cube\n"
+
+
 def test_word_and_element_file_are_exclusive(tmp_path, capsys):
     path = tmp_path / "g.json"
     path.write_text(element_to_json(random_element(1, 3, 1)), encoding="utf-8")
@@ -279,7 +320,7 @@ def test_envelope_shape(capsys):
     assert payload["command"] == "eval"
     assert payload["config"]["n"] == 1
     assert payload["config"]["word"] == "P[0]"
-    assert payload["config"]["threads"] == 1
+    assert "threads" not in payload["config"]
 
 
 def test_output_file(tmp_path, capsys):
@@ -322,6 +363,32 @@ def test_text_format(capsys):
     assert "RESULT: FAIL" in out2
 
 
+@pytest.mark.parametrize(
+    "argv",
+    [
+        ["eval", "--n", "1", "--word", "X[1,0]"],
+        ["equal", "--n", "1", "--w1", "Pb[0]", "--w2", ""],
+        ["apply", "--n", "1", "--word", "X[1,0]", "--point", "1/4"],
+        ["support", "--n", "1", "--word", "Pb[1]"],
+        ["simplify", "--n", "2", "--word", "C[2,0] Pb[0]"],
+        ["relations", "--n", "1"],
+        ["corollaries", "--n", "1"],
+        ["premises", "--n", "2"],
+        ["cocycle", "--n", "2", "--word", "Pb[0]", "--depth", "2"],
+        ["probe", "--n", "1", "--word", "X[1,0]", "--depths", "0..3"],
+        ["fprobe", "--n", "2", "--word", "Pb[0]", "--depth", "1"],
+        ["properness", "--n", "1", "--ball", "1"],
+        ["random", "--n", "2", "--seed", "3"],
+    ],
+    ids=lambda argv: argv[0],
+)
+def test_text_format_every_command(capsys, argv):
+    code, out, _ = run(capsys, argv + ["--format", "text"])
+    assert code in (0, 1)
+    assert out.startswith("nvcalc ")
+    assert out.endswith(("RESULT: PASS\n", "RESULT: FAIL\n"))
+
+
 def test_text_format_surfaces_open_finding(capsys):
     code, out, _ = run(
         capsys,
@@ -330,21 +397,3 @@ def test_text_format_surfaces_open_finding(capsys):
     )
     assert code == 0
     assert "open finding" in out
-
-
-# ---------------------------------------------------------------------------
-# NV_THREADS
-
-
-def test_threads_echoed(monkeypatch, capsys):
-    monkeypatch.setenv("NV_THREADS", "4")
-    _, payload, _ = run_json(capsys, ["eval", "--n", "1", "--word", "P[0]"])
-    assert payload["config"]["threads"] == 4
-
-
-@pytest.mark.parametrize("value", ["abc", "0", "-2", ""])
-def test_threads_invalid_exit_two(monkeypatch, capsys, value):
-    monkeypatch.setenv("NV_THREADS", value)
-    code, _, err = run(capsys, ["eval", "--n", "1", "--word", "P[0]"])
-    assert code == 2
-    assert "NV_THREADS" in err

@@ -200,6 +200,23 @@ def test_sym_diff_counts_monotone_and_verdict_reaffirmed():
         sym_diff_truncated(X1, -1)
 
 
+@pytest.mark.parametrize(
+    "word, n, D",
+    [
+        (w, 1, 8)
+        for w in ("X[1,0]", "Pb[0] X[1,1]^-1", "X[1,0]^3 P[1]", "X[1,0]^-2 X[1,2]")
+    ]
+    + [(w, 2, 5) for w in ("Pb[0]", "C[2,0]", "X[2,0] X[1,1]")],
+)
+def test_at_depth_matches_a_fresh_search(word, n, D):
+    g = eval_word(word, n)
+    full = sym_diff_truncated(g, D)
+    for d in range(D + 1):
+        assert full.at_depth(d) == sym_diff_truncated(g, d)
+    with pytest.raises(ValueError):
+        full.at_depth(D + 1)
+
+
 def test_sym_diff_identity_is_empty():
     t = sym_diff_truncated(identity(1), 5)
     assert t.total == 0 and t.verdict == "STABLE(0)"
@@ -237,6 +254,33 @@ def test_cocycle_identity_small_cases():
     assert len(rep3.checks) == 3 * 16  # three cosets per proper rectangle
     with pytest.raises(ValueError):
         cocycle_identity_check(X1, PB2)
+
+
+def _four_term_identity(g, h, depth):
+    """Per test coset, whether pi_gh(c) = pi_g(c) + pi_h(g^{-1} c) literally."""
+
+    def pi(k, c):
+        return (in_gX(k, c) is not None) - (in_X(c) is not None)
+
+    gh = compose(g, h)
+    holds = []
+    for r in enumerate_rects(g.dim, depth):
+        base = coset_of(rect_to_coset(r))
+        for c in (base, coset_translate(g, base), coset_translate(gh, base)):
+            rhs = pi(g, c) + pi(h, coset_translate(inverse(g), c))
+            holds.append(pi(gh, c) == rhs)
+    return holds
+
+
+@pytest.mark.parametrize(
+    "g, h, depth",
+    [(X1, PB1, 3), (X1, identity(1), 3), (PB2, make_X(2, 0, 2), 2)],
+    ids=["X_Pb", "X_e", "Pb_X2"],
+)
+def test_cocycle_identity_matches_four_term_oracle(g, h, depth):
+    oracle = _four_term_identity(g, h, depth)
+    assert all(oracle)
+    assert [c.holds for c in cocycle_identity_check(g, h, depth).checks] == oracle
 
 
 # ---------------------------------------------------------------------------
