@@ -96,6 +96,13 @@ class Rect:
         for w in self.words:
             _check_word(w)
 
+    @classmethod
+    def _trusted(cls, words: tuple[str, ...]) -> "Rect":
+        """Internal: a rectangle cut from valid ones, built without the check."""
+        r = object.__new__(cls)
+        object.__setattr__(r, "words", words)
+        return r
+
     @property
     def dim(self) -> int:
         return len(self.words)
@@ -138,8 +145,8 @@ def halve(r: Rect, d: int) -> tuple[Rect, Rect]:
     if not 1 <= d <= r.dim:
         raise ValueError(f"coordinate {d} out of range for dimension {r.dim}")
     w = r.words
-    lo = Rect(w[: d - 1] + (w[d - 1] + "0",) + w[d:])
-    hi = Rect(w[: d - 1] + (w[d - 1] + "1",) + w[d:])
+    lo = Rect._trusted(w[: d - 1] + (w[d - 1] + "0",) + w[d:])
+    hi = Rect._trusted(w[: d - 1] + (w[d - 1] + "1",) + w[d:])
     return lo, hi
 
 
@@ -189,7 +196,7 @@ def rect_intersect(a: Rect, b: Rect) -> Rect | None:
             out.append(x)
         else:
             return None
-    return Rect(tuple(out))
+    return Rect._trusted(tuple(out))
 
 
 def contains_point(r: Rect, p: Point) -> bool:

@@ -11,6 +11,11 @@ self-bijection of the cube.  Composition, inversion, equality, restriction,
 affinity tests, reduction, expansion, fuzz generation, and a bit-exact JSON
 round-trip are provided.  Everything is immutable and exact.
 
+Words are checked at the boundary (the public ``Rect`` constructor, the word
+parser, JSON loading); rectangles cut from valid ones are built unchecked with
+``Rect._trusted``.  ``compose``, ``restrict`` and ``apply`` take candidate
+pieces from each element's cached index of pieces by coordinate-1 domain word.
+
 Convention: ``compose(g, h)`` is the map "apply h first, then g" (so a word
 written ``g h`` acts on the cube through its right factor first).  This is the
 single global convention under which the whole relation suite of
@@ -21,7 +26,9 @@ from __future__ import annotations
 
 import json
 import random
+from bisect import bisect_left, insort
 from dataclasses import dataclass
+from functools import cached_property
 from fractions import Fraction
 from typing import Iterable, Sequence
 
@@ -109,7 +116,7 @@ class AffinePiece:
             if not w.startswith(u):
                 raise ValueError(f"{sub} is not nested in domain {self.dom}")
             words.append(v + w[len(u):])
-        return Rect(tuple(words))
+        return Rect._trusted(tuple(words))
 
     def restrict_to(self, sub: Rect) -> "AffinePiece":
         """The same map, restricted to a rectangle nested in the domain."""
@@ -146,6 +153,27 @@ class Element:
     def range_pattern(self) -> Pattern:
         return Pattern.from_rects((p.ran for p in self.pieces), check=False)
 
+    @cached_property
+    def _index(self) -> tuple[dict[str, list[AffinePiece]], list[str], int]:
+        """Pieces by coordinate-1 domain word, the sorted words, the longest."""
+        by_word: dict[str, list[AffinePiece]] = {}
+        for p in self.pieces:
+            by_word.setdefault(p.dom.words[0], []).append(p)
+        return by_word, sorted(by_word), max(map(len, by_word))
+
+
+def _candidates(g: Element, w: str) -> list[AffinePiece]:
+    """In table order, the pieces of ``g`` whose coordinate-1 domain word is a
+    prefix or an extension of ``w``: those that can meet coordinate-1 word w."""
+    by_word, keys, longest = g._index
+    out: list[AffinePiece] = []
+    for i in range(min(len(w), longest + 1)):
+        out += by_word.get(w[:i], ())
+    # Keys starting with w are exactly those in [w, w + "2"): "2" > "1".
+    for key in keys[bisect_left(keys, w) : bisect_left(keys, w + "2")]:
+        out += by_word[key]
+    return out
+
 
 def identity(n: int) -> Element:
     """The identity element: one trivial piece on the whole cube."""
@@ -161,12 +189,16 @@ def validate(e: Element) -> bool:
 
 
 def compose(g: Element, h: Element) -> Element:
-    """The element acting as "apply ``h`` first, then ``g``" (i.e. g∘h)."""
+    """The element acting as "apply ``h`` first, then ``g``" (i.e. g∘h).
+
+    Pairs each piece of h with the pieces of g's coordinate-1 index its range
+    meets.  The table refines both factors', so composing is associative table
+    for table: ``(f∘g)∘h`` and ``f∘(g∘h)`` have equal piece tables."""
     if g.dim != h.dim:
         raise ValueError(f"dimension mismatch: {g.dim} vs {h.dim}")
     pieces = []
     for ph in h.pieces:
-        for pg in g.pieces:
+        for pg in _candidates(g, ph.ran.words[0]):
             m = rect_intersect(ph.ran, pg.dom)
             if m is None:
                 continue
@@ -184,12 +216,16 @@ def inverse(g: Element) -> Element:
 
 
 def apply(g: Element, p: Point) -> Point:
-    """Exact image of a point of the half-open cube (no coordinate equals 1)."""
+    """Exact image of a point of the half-open cube (no coordinate equals 1);
+    candidates are the pieces of g's coordinate-1 index that contain ``p[0]``."""
     if len(p) != g.dim:
         raise ValueError(f"point dimension {len(p)} != element dimension {g.dim}")
-    for piece in g.pieces:
-        if contains_point(piece.dom, p):
-            return piece.apply_point(p)
+    if 0 <= p[0] < 1:
+        bits = g._index[2]
+        w = format(int(p[0] * 2**bits), f"0{bits}b") if bits else ""
+        for piece in _candidates(g, w):
+            if contains_point(piece.dom, p):
+                return piece.apply_point(p)
     raise ValueError(f"no piece contains {p}; element invalid or point outside cube")
 
 
@@ -206,9 +242,10 @@ def equals(g: Element, h: Element) -> bool:
 
 
 def restrict(g: Element, r: Rect) -> tuple[AffinePiece, ...]:
-    """The pieces of ``g`` cut down to ``r``; their domains partition ``r``."""
+    """The pieces of ``g`` cut down to ``r``; their domains partition ``r``.
+    Only candidates from g's coordinate-1 index are cut."""
     out = []
-    for piece in g.pieces:
+    for piece in _candidates(g, r.words[0]):
         m = rect_intersect(piece.dom, r)
         if m is not None:
             out.append(piece.restrict_to(m))
@@ -296,8 +333,9 @@ def _merge_partner(a: AffinePiece, b: AffinePiece) -> AffinePiece | None:
     if dom_d == -1 or dom_d != ran_d:
         return None
     d = dom_d
-    dom = Rect(a.dom.words[:d] + (a.dom.words[d][:-1],) + a.dom.words[d + 1:])
-    ran = Rect(a.ran.words[:d] + (a.ran.words[d][:-1],) + a.ran.words[d + 1:])
+    u, v = a.dom.words, a.ran.words
+    dom = Rect._trusted(u[:d] + (u[d][:-1],) + u[d + 1:])
+    ran = Rect._trusted(v[:d] + (v[d][:-1],) + v[d + 1:])
     return AffinePiece(dom, ran)
 
 
@@ -309,36 +347,35 @@ def merge_pieces(pieces: Iterable[AffinePiece]) -> tuple[AffinePiece, ...]:
     the unique fully reduced table; for higher dimensions a piece may pair in
     several coordinates, so the deterministic sorted-scan result is reduced
     but not canonical.
+    A merge can make only the merged key, or a key that is it with one
+    trailing ``1`` made ``0``, newly mergeable: the scan resumes there.
     """
     current: dict[tuple[str, ...], AffinePiece] = {
         p.dom.words: p for p in pieces
     }
-    changed = True
-    while changed:
-        changed = False
-        for key in sorted(current):
-            a = current.get(key)
-            if a is None:
-                continue
-            for d in range(a.dim):
-                w = a.dom.words[d]
-                if not w.endswith("0"):
-                    continue
-                sibling_key = key[:d] + (w[:-1] + "1",) + key[d + 1:]
-                b = current.get(sibling_key)
-                if b is None:
-                    continue
-                merged = _merge_partner(a, b)
-                if merged is None:
-                    continue
-                del current[key]
-                del current[sibling_key]
-                current[merged.dom.words] = merged
-                changed = True
-                break
-            if changed:
-                break
-    return tuple(sorted(current.values(), key=lambda p: p.dom.words))
+    keys = sorted(current)
+    i = 0
+    while i < len(keys):
+        key = keys[i]
+        for d, w in enumerate(key):
+            sibling_key = key[:d] + (w[:-1] + "1",) + key[d + 1:]
+            if w.endswith("0") and sibling_key in current:
+                merged = _merge_partner(current[key], current[sibling_key])
+                if merged is not None:
+                    break
+        else:
+            i += 1
+            continue
+        for k in (key, sibling_key):
+            del current[k]
+            del keys[bisect_left(keys, k)]
+        new = merged.dom.words
+        current[new] = merged
+        insort(keys, new)
+        ones = [c for c, u in enumerate(new) if u.endswith("1")]
+        zero_sides = [new[:c] + (new[c][:-1] + "0",) + new[c + 1:] for c in ones]
+        i = bisect_left(keys, min([new] + [k for k in zero_sides if k in current]))
+    return tuple(current[k] for k in keys)
 
 
 def simplify(g: Element) -> Element:

@@ -262,9 +262,15 @@ def eval_word(word: Word | str, n: int) -> Element:
         word = parse_word(word)
     acc = identity(n)
     for sym in word.symbols:
-        e = _symbol_element(sym, n)
-        for _ in range(abs(sym.exp)):
-            acc = compose(acc, e)
+        # e**k by repeated squaring: composing tables is associative table for
+        # table, so acc gets the same table as from k single compositions.
+        e, k = _symbol_element(sym, n), abs(sym.exp)
+        while k:
+            if k & 1:
+                acc = compose(acc, e)
+            k >>= 1
+            if k:
+                e = compose(e, e)
     return acc
 
 

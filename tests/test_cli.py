@@ -288,6 +288,16 @@ def test_element_file_must_partition_the_cube(tmp_path, capsys, pieces, argv):
     assert err == "error: bad element file: pieces do not partition the cube\n"
 
 
+def test_element_file_bad_word_exit_two(tmp_path, capsys):
+    pieces = [{"dom": ["0a"], "ran": ["0"]}, {"dom": ["1"], "ran": ["1"]}]
+    path = tmp_path / "g.json"
+    path.write_text(json.dumps({"n": 1, "pieces": pieces}), encoding="utf-8")
+    code, out, err = run(capsys, ["eval", "--element-file", str(path)])
+    assert code == 2
+    assert out == ""
+    assert err.startswith("error: ") and err.count("\n") == 1 and "'0a'" in err
+
+
 def test_word_and_element_file_are_exclusive(tmp_path, capsys):
     path = tmp_path / "g.json"
     path.write_text(element_to_json(random_element(1, 3, 1)), encoding="utf-8")

@@ -35,6 +35,7 @@ from nvcalc.dyadic_core import (
 F = Fraction
 
 words = st.text(alphabet="01", min_size=0, max_size=8)
+word_tuples = st.lists(words, min_size=1, max_size=3)
 
 
 def all_words(max_len):
@@ -106,6 +107,19 @@ def test_rect_rejects_bad_words():
         Rect((" 0",))
     with pytest.raises(ValueError):
         Rect(())
+    with pytest.raises(ValueError):
+        Rect(("2",))
+    with pytest.raises(ValueError):
+        Rect((0,))
+
+
+@given(word_tuples, word_tuples)
+def test_trusted_rect_matches_public_constructor(ws, other):
+    public, trusted, b = Rect(tuple(ws)), Rect._trusted(tuple(ws)), Rect(tuple(other))
+    assert trusted == public and hash(trusted) == hash(public)
+    assert repr(trusted) == repr(public)
+    assert (trusted < b, trusted > b, b < trusted) == (public < b, public > b, b < public)
+    assert sorted([b, trusted]) == sorted([public, b])
 
 
 def test_halve():

@@ -1,0 +1,188 @@
+"""The indexed element kernel against the plain scans it replaced.
+
+The reference functions below are the all-pairs ``compose``, the linear-scan
+``restrict`` and ``apply``, the restart-after-every-merge ``merge_pieces`` and
+the one-compose-per-unit ``eval_word``.  The fast paths must give the same
+piece tables (``==``, not just ``equals``) and the same points.
+"""
+
+import random
+from fractions import Fraction
+
+from hypothesis import given, settings
+from hypothesis import strategies as st
+
+from nvcalc.dyadic_core import Rect, contains_point, rect_intersect
+from nvcalc.element_algebra import (
+    AffinePiece,
+    Element,
+    _merge_partner,
+    affine_extension,
+    apply,
+    compose,
+    expansion,
+    identity,
+    inverse,
+    is_affine_on,
+    merge_pieces,
+    random_element,
+    restrict,
+)
+from nvcalc.words_generators import eval_word, make_C, make_pi, make_pibar, make_X
+
+# ---------------------------------------------------------------------------
+# reference implementations
+
+
+def compose_all_pairs(g, h):
+    pieces = []
+    for ph in h.pieces:
+        for pg in g.pieces:
+            m = rect_intersect(ph.ran, pg.dom)
+            if m is not None:
+                pieces.append(AffinePiece(ph.inverted().image_of(m), pg.image_of(m)))
+    return Element.from_pieces(pieces)
+
+
+def restrict_linear(g, r):
+    out = []
+    for piece in g.pieces:
+        m = rect_intersect(piece.dom, r)
+        if m is not None:
+            out.append(piece.restrict_to(m))
+    return tuple(sorted(out, key=lambda p: p.dom.words))
+
+
+def apply_linear(g, p):
+    for piece in g.pieces:
+        if contains_point(piece.dom, p):
+            return piece.apply_point(p)
+    raise ValueError(f"no piece contains {p}")
+
+
+def merge_pieces_restart(pieces):
+    current = {p.dom.words: p for p in pieces}
+    changed = True
+    while changed:
+        changed = False
+        for key in sorted(current):
+            a = current[key]
+            for d in range(a.dim):
+                w = a.dom.words[d]
+                if not w.endswith("0"):
+                    continue
+                sibling_key = key[:d] + (w[:-1] + "1",) + key[d + 1:]
+                b = current.get(sibling_key)
+                if b is None:
+                    continue
+                merged = _merge_partner(a, b)
+                if merged is None:
+                    continue
+                del current[key]
+                del current[sibling_key]
+                current[merged.dom.words] = merged
+                changed = True
+                break
+            if changed:
+                break
+    return tuple(sorted(current.values(), key=lambda p: p.dom.words))
+
+
+# ---------------------------------------------------------------------------
+# inputs: random elements and finer copies of them
+
+
+def refined(g, rng, count):
+    """The same map, ``count`` random expansions finer.  In n >= 2 most of
+    them split a coordinate other than 1, so many pieces share a
+    coordinate-1 word."""
+    for _ in range(count):
+        g = expansion(g, rng.randrange(len(g.pieces)), rng.randint(1, g.dim))
+    return g
+
+
+def random_rect(rng, n):
+    return Rect(
+        tuple(
+            "".join(rng.choice("01") for _ in range(rng.randint(0, 6)))
+            for _ in range(n)
+        )
+    )
+
+
+def random_point(rng, n):
+    out = []
+    for _ in range(n):
+        bits = rng.randint(0, 9)
+        out.append(Fraction(rng.randrange(2**bits), 2**bits))
+    return tuple(out)
+
+
+elements = st.tuples(
+    st.integers(0, 10**6), st.integers(1, 3), st.integers(1, 24), st.integers(0, 24)
+)
+
+
+def build(seed, n, size, expansions):
+    rng = random.Random(seed)
+    g = random_element(n, size, rng)
+    return rng, g, refined(g, rng, expansions)
+
+
+# ---------------------------------------------------------------------------
+# properties
+
+
+@given(elements)
+@settings(max_examples=80, deadline=None)
+def test_compose_matches_all_pairs(spec):
+    rng, g, fine = build(*spec)
+    h = refined(random_element(g.dim, rng.randint(1, 24), rng), rng, rng.randint(0, 24))
+    for a, b in ((g, h), (h, g), (fine, h), (h, fine), (fine, inverse(fine))):
+        assert compose(a, b) == compose_all_pairs(a, b)
+
+
+@given(elements)
+@settings(max_examples=80, deadline=None)
+def test_restrict_and_apply_match_linear_scans(spec):
+    rng, g, fine = build(*spec)
+    for e in (g, fine):
+        for _ in range(6):
+            r = random_rect(rng, e.dim)
+            assert restrict(e, r) == restrict_linear(e, r)
+            assert is_affine_on(e, r) == affine_extension(restrict_linear(e, r), r)
+            p = random_point(rng, e.dim)
+            assert apply(e, p) == apply_linear(e, p)
+
+
+@given(elements)
+@settings(max_examples=80, deadline=None)
+def test_merge_pieces_matches_restart_scan(spec):
+    rng, g, fine = build(*spec)
+    other = random_element(g.dim, rng.randint(1, 24), rng)
+    for pieces in (
+        fine.pieces,
+        refined(fine, rng, 40).pieces,
+        compose(fine, other).pieces,
+        restrict(fine, random_rect(rng, g.dim)),
+    ):
+        assert merge_pieces(pieces) == merge_pieces_restart(pieces)
+
+
+def test_powers_by_squaring_match_the_per_exponent_loop():
+    """Exponents +-1..130; the unreduced table of ``C[d,i]^k`` has about 2^k
+    pieces (on either path), so C stops at +-10."""
+    n = 2
+    generators = (
+        ("X[1,0]", make_X(1, 0, n), 130),
+        ("X[2,1]", make_X(2, 1, n), 130),
+        ("C[2,1]", make_C(2, 1, n), 10),
+        ("P[1]", make_pi(1, n), 130),
+        ("Pb[0]", make_pibar(0, n), 130),
+    )
+    for label, gen, top in generators:
+        for sign, e in ((1, gen), (-1, inverse(gen))):
+            acc = identity(n)
+            for k in range(1, top + 1):
+                acc = compose_all_pairs(acc, e)
+                assert eval_word(f"{label}^{sign * k}", n) == acc, (label, sign * k)
