@@ -196,18 +196,24 @@ def compose(g: Element, h: Element) -> Element:
     for table: ``(f∘g)∘h`` and ``f∘(g∘h)`` have equal piece tables."""
     if g.dim != h.dim:
         raise ValueError(f"dimension mismatch: {g.dim} vs {h.dim}")
-    pieces = []
-    for ph in h.pieces:
+    return Element.from_pieces(_compose_pieces(g, h.pieces))
+
+
+def _compose_pieces(g: Element, pieces: Iterable[AffinePiece]) -> list[AffinePiece]:
+    """The pieces of g∘p for each piece p: p's range cut by the pieces of g's
+    coordinate-1 index it meets."""
+    out = []
+    for ph in pieces:
         for pg in _candidates(g, ph.ran.words[0]):
             m = rect_intersect(ph.ran, pg.dom)
             if m is None:
                 continue
-            # m nests in ph.ran: pull back through h.  m nests in pg.dom:
+            # m nests in ph.ran: pull back through ph.  m nests in pg.dom:
             # push forward through g.
             dom = ph.inverted().image_of(m)
             ran = pg.image_of(m)
-            pieces.append(AffinePiece(dom, ran))
-    return Element.from_pieces(pieces)
+            out.append(AffinePiece(dom, ran))
+    return out
 
 
 def inverse(g: Element) -> Element:
@@ -293,10 +299,29 @@ def is_affine_on(g: Element, r: Rect) -> AffinePiece | None:
     is genuinely piecewise.  Note that agreeing slopes and continuity are not
     enough: the restriction counts as affine only when its image is again a
     standard dyadic rectangle, i.e. when it is a prefix substitution.
+
+    The target W is read off the words of the candidates meeting ``r``: a
+    piece that cuts a word w of ``r`` to w + s must have range word W + s.
+    ``affine_extension(restrict(g, r), r)`` is the test oracle.
     """
     if g.dim != r.dim:
         raise ValueError(f"dimension mismatch: {g.dim} vs {r.dim}")
-    return affine_extension(restrict(g, r), r)
+    target = None
+    for piece in _candidates(g, r.words[0]):
+        words, fits = [], True
+        for w, u, v in zip(r.words, piece.dom.words, piece.ran.words):
+            if u.startswith(w):  # the piece cuts w to u = w + s: v must be W + s
+                fits = fits and v.endswith(u[len(w):])
+                words.append(v[: len(v) - len(u) + len(w)])
+            elif w.startswith(u):  # w lies inside u
+                words.append(v + w[len(u):])
+            else:
+                break  # disjoint from r
+        else:  # the piece meets r, so only now may it reject r
+            if not fits or (target is not None and words != target):
+                return None
+            target = words
+    return None if target is None else AffinePiece(r, Rect._trusted(tuple(target)))
 
 
 def is_identity_on(g: Element, r: Rect) -> bool:

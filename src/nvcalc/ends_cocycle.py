@@ -8,9 +8,10 @@ restriction of ``k`` to ``I_l``.  Inside the coset space sits the family
 
 and ``kH |-> k(I_l)`` identifies X with the set of proper standard dyadic
 rectangles (depth >= 1; the whole cube is impossible, since the right half
-must land somewhere disjoint).  Translation by g sends ``kH`` to ``(gk)H``,
-so membership questions about ``gX`` reduce to whether g acts as a single
-substitution on a given rectangle:
+must land somewhere disjoint).  Translation by g sends ``kH`` to ``(gk)H``
+and acts on the restriction alone: ``(gk)|I_l = g o (k|I_l)``.  Membership
+questions about ``gX`` reduce to whether g acts as a single substitution on a
+given rectangle:
 
     X - gX  <-> { R proper : g^{-1} is not one substitution on R },
     gX - X  <-> { R proper : g is not one substitution on R }.
@@ -35,6 +36,7 @@ import math
 from collections import Counter
 from dataclasses import dataclass, field
 from fractions import Fraction
+from itertools import accumulate
 
 from nvcalc.dyadic_core import (
     Pattern,
@@ -53,10 +55,10 @@ from nvcalc.dyadic_core import (
 from nvcalc.element_algebra import (
     AffinePiece,
     Element,
+    _compose_pieces,
     affine_extension,
     apply,
     compose,
-    element_depth,
     equals,
     identity,
     inverse,
@@ -96,15 +98,14 @@ __all__ = [
 
 @dataclass(frozen=True)
 class CosetRep:
-    """A left coset kH, carried as the restriction of k to I_l plus k itself.
+    """A left coset kH, carried as the restriction of k to I_l.
 
-    ``restriction`` (the merged piece table of k on I_l) determines the coset;
-    ``rep`` is kept so the coset can be translated exactly.
+    ``restriction`` is the merged piece table of k on I_l.  It determines the
+    coset, and it is all a translation needs, since (gk)|I_l = g o (k|I_l).
     """
 
     n: int
     restriction: tuple[AffinePiece, ...]
-    rep: Element
 
 
 @dataclass(frozen=True)
@@ -116,7 +117,7 @@ class XMember:
 
 def coset_of(k: Element) -> CosetRep:
     """The coset kH of an element."""
-    return CosetRep(k.dim, merge_pieces(restrict(k, rect_Il(k.dim))), k)
+    return CosetRep(k.dim, merge_pieces(restrict(k, rect_Il(k.dim))))
 
 
 def _as_coset(c: CosetRep | Element) -> CosetRep:
@@ -139,9 +140,9 @@ def coset_eq(a: CosetRep | Element, b: CosetRep | Element) -> bool:
 
 
 def coset_translate(g: Element, c: CosetRep | Element) -> CosetRep:
-    """The translated coset g . kH = (g k)H."""
+    """The translated coset g . kH = (gk)H, from (gk)|I_l = g o (k|I_l)."""
     c = _as_coset(c)
-    return coset_of(compose(g, c.rep))
+    return CosetRep(c.n, merge_pieces(_compose_pieces(g, c.restriction)))
 
 
 def in_H(k: Element | CosetRep) -> bool:
@@ -211,20 +212,17 @@ def _failing_rects(g: Element, depth: int) -> list[Rect]:
     is exactly the set of failing depth-d rectangles, since every failing
     rectangle has a failing parent (a substitution on a rectangle restricts
     to one on each child).  An empty frontier proves no deeper rectangle
-    fails, so early termination is exact, not a heuristic.
+    fails, and every later level is then empty.  The result is in no
+    particular order.
     """
     failing: list[Rect] = []
-    frontier = [Rect.cube(g.dim)]
-    d = 0
-    while frontier and d <= depth:
+    frontier = {Rect.cube(g.dim)}
+    coords = range(1, g.dim + 1)
+    for d in range(depth + 1):
         frontier = [r for r in frontier if is_affine_on(g, r) is None]
         failing.extend(frontier)
-        d += 1
-        if d > depth:
-            break
-        frontier = sorted(
-            {c for r in frontier for k in range(1, g.dim + 1) for c in halve(r, k)}
-        )
+        if d < depth:
+            frontier = {c for r in frontier for k in coords for c in halve(r, k)}
     return failing
 
 
@@ -317,10 +315,8 @@ def _truncation(
     g: Element, depth: int, out_rects: list[Rect], in_rects: list[Rect]
 ) -> TruncatedCocycle:
     """Counts and verdict for the members of X Δ gX up to ``depth``."""
-    members = out_rects + in_rects
-    counts = tuple(
-        sum(1 for r in members if r.depth <= d) for d in range(depth + 1)
-    )
+    per_depth = Counter(r.depth for r in out_rects + in_rects)
+    counts = tuple(accumulate(per_depth[d] for d in range(depth + 1)))
     total = counts[-1]
     d_star = next(d for d in range(depth + 1) if counts[d] == total)
     if d_star < depth:
@@ -370,9 +366,10 @@ def cocycle_identity_check(
     gh_inv = inverse(gh)
     g_inv = inverse(g)
     h_inv = inverse(h)
+    il = rect_Il(n)
     report = CheckReport("cocycle_identity", n, {"depth": depth})
     for r in enumerate_rects(n, depth):
-        base = coset_of(rect_to_coset(r))
+        base = CosetRep(n, (AffinePiece(il, r),))  # the X-coset of r
         name = ",".join(w or "e" for w in r.words)
         for label, c in (
             (f"R[{name}]", base),
@@ -544,32 +541,29 @@ def _ball_elements(
     n: int, radius: int
 ) -> list[tuple[str, Element]]:
     """Distinct elements of the word ball of the given radius over S and
-    inverses, labelled by a shortest word reaching each; includes the
-    identity (empty word)."""
+    inverses as reduced tables (which tell them apart), labelled by a shortest
+    word reaching each; includes the identity (empty word)."""
     letters: list[tuple[str, Element]] = []
     for label, e in gen_set_S(n):
         letters.append((label, e))
         letters.append((f"({label})^-1", inverse(e)))
 
-    def key(e: Element) -> tuple:
-        return tuple((p.dom.words, p.ran.words) for p in simplify(e).pieces)
-
     ident = identity(n)
-    seen: dict[tuple, tuple[str, Element]] = {key(ident): ("", ident)}
+    seen: dict[Element, str] = {simplify(ident): ""}
     frontier: list[tuple[str, Element]] = [("", ident)]
     for _ in range(radius):
         nxt: list[tuple[str, Element]] = []
         for label, e in frontier:
             for l_label, l_elem in letters:
                 new = compose(e, l_elem)
-                k = key(new)
-                if k in seen:
+                reduced = simplify(new)
+                if reduced in seen:
                     continue
                 new_label = f"{label} {l_label}".strip()
-                seen[k] = (new_label, new)
+                seen[reduced] = new_label
                 nxt.append((new_label, new))
         frontier = nxt
-    return list(seen.values())
+    return [(label, g) for g, label in seen.items()]
 
 
 def properness_bound_check(
@@ -601,10 +595,11 @@ def properness_bound_check(
     elements = _ball_elements(n, ball_radius)
     stable = growing = 0
     slack: Counter[int] = Counter()
-    for label, g in elements:
-        d = depth if depth is not None else element_depth(g) + 1
+    for label, g in elements:  # g is reduced: its depth and size are final
+        pieces = len(g.pieces)
+        table_depth = max(max(p.dom.depth, p.ran.depth) for p in g.pieces)
+        d = depth if depth is not None else table_depth + 1
         t = sym_diff_truncated(g, d)
-        pieces = len(simplify(g).pieces)
         bound = (t.total + 4) ** n
         word = label or "<empty>"
         if t.stable_depth is not None:

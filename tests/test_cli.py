@@ -1,5 +1,6 @@
 """End-to-end tests for the command-line interface."""
 
+import hashlib
 import json
 
 import pytest
@@ -321,6 +322,48 @@ def test_json_output_byte_identical_across_runs(capsys):
     _, o1, _ = run(capsys, argv2)
     _, o2, _ = run(capsys, argv2)
     assert o1 == o2
+
+
+#: SHA-256 of the JSON envelope of sweeps whose output must not change when
+#: the engine under them is rebuilt.  Update a hash only with a change that
+#: means to change that command's output, and say so.
+PINNED_OUTPUTS = [
+    (
+        ["cocycle", "--n", "2", "--word", "X[1,0]", "--depth", "9"],
+        "3122664d082d8f97c0c2acea8838802d6191eaf0acd8c21dba1c42fb508848b3",
+    ),
+    (
+        ["cocycle", "--n", "1", "--word", "X[1,0] Pb[0]", "--depth", "8"],
+        "95dcebc4d7b6c7c75156ce567ce3ca3e24c29dd05944af77915824ed55658e78",
+    ),
+    (
+        ["properness", "--n", "1", "--ball", "3"],
+        "23326a65f63fa2251036c4756d5488dcf100a84131136070d9a9855893377cc7",
+    ),
+    (
+        ["properness", "--n", "2", "--ball", "1"],
+        "f2383b6c5139a8a9dde32d34e258ab49e3df2191229ceb962e21c26dfd83ed0c",
+    ),
+    (
+        ["probe", "--n", "1", "--word", "X[1,0] P[0]", "--depths", "0..7"],
+        "b5456b6c52ecb39e3c9b9c10290fbfc62ad0cdd173f48930604d4834648e600d",
+    ),
+    (
+        ["fprobe", "--n", "2", "--word", "X[1,0]", "--depth", "4"],
+        "4a84360a59627ae5fa4df249fc2fb2c0111366c42c282fac75b9685ad62a988f",
+    ),
+]
+
+
+@pytest.mark.parametrize(
+    "argv, digest",
+    PINNED_OUTPUTS,
+    ids=[f"{argv[0]}-n{argv[2]}" for argv, _ in PINNED_OUTPUTS],
+)
+def test_json_output_pinned_across_commits(capsys, argv, digest):
+    code, out, _ = run(capsys, argv)
+    assert code == 0
+    assert hashlib.sha256(out.encode()).hexdigest() == digest
 
 
 def test_envelope_shape(capsys):
