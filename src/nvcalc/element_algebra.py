@@ -446,6 +446,8 @@ def _random_tree(rng: random.Random, leaves: int, n: int) -> SplitTree:
 
 def random_element(n: int, size: int, seed: int | random.Random) -> Element:
     """Deterministic fuzz element: two random split trees and a random pairing."""
+    if n < 1:
+        raise ValueError("dimension must be >= 1")
     if size < 1:
         raise ValueError("size must be >= 1")
     rng = seed if isinstance(seed, random.Random) else random.Random(seed)

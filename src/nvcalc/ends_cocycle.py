@@ -22,6 +22,13 @@ breadth-first enumeration of the symmetric difference up to any depth: the
 depth-d frontier is precisely the set of failing depth-d rectangles, and an
 empty frontier certifies that nothing deeper fails.
 
+Cylinder lemma: let L_d be the longest coordinate-d domain word of g's pieces
+and tau(R) cut each word w_d of R to its first L_d letters.  Then g is one
+substitution on R iff on tau(R); failing sets are finite unions of cylinders.
+Proof sketch: once len(w_d) >= L_d, the same pieces meet R and its halves in
+d, each piece word u_d is a prefix of w_d, and halving appends one letter to
+every coordinate-d target v_d + w_d[len(u_d):]: agreement is unchanged.
+
 The module computes these truncated symmetric differences with a
 stabilised/growing verdict, checks the cocycle identity
 ``pi_gh(c) = pi_g(c) + pi_h(g^{-1} c)`` for ``pi_g = chi_gX - chi_X`` along
@@ -36,7 +43,7 @@ import math
 from collections import Counter
 from dataclasses import dataclass, field
 from fractions import Fraction
-from itertools import accumulate
+from itertools import accumulate, chain, groupby
 
 from nvcalc.dyadic_core import (
     Pattern,
@@ -46,7 +53,6 @@ from nvcalc.dyadic_core import (
     corner_projections,
     corners,
     enumerate_rects,
-    halve,
     rect_Il,
     rect_Ir,
     rect_intersect,
@@ -205,25 +211,34 @@ def rect_to_coset(r: Rect) -> Element:
     return Element.from_pieces(pieces)
 
 
-def _failing_rects(g: Element, depth: int) -> list[Rect]:
-    """All rectangles of depth <= ``depth`` on which g is not one substitution.
+def _failing_rects(g: Element, depth: int) -> list[list[Rect]]:
+    """The rectangles on which g is not one substitution, one sorted list per
+    depth 0..``depth``.
 
-    Pruned breadth-first search.  Invariant: the surviving frontier at depth d
-    is exactly the set of failing depth-d rectangles, since every failing
-    rectangle has a failing parent (a substitution on a rectangle restricts
-    to one on each child).  An empty frontier proves no deeper rectangle
-    fails, and every later level is then empty.  The result is in no
-    particular order.
+    Pruned breadth-first search on word tuples, stopped at the first empty
+    level: every failing rectangle has a failing parent (a substitution on a
+    rectangle restricts to one on each child).  By the cylinder lemma (module
+    docstring) R fails iff tau(R), R cut to g's longest domain word per
+    coordinate, fails; each tau(R) is tested once.
     """
-    failing: list[Rect] = []
-    frontier = {Rect.cube(g.dim)}
-    coords = range(1, g.dim + 1)
-    for d in range(depth + 1):
-        frontier = [r for r in frontier if is_affine_on(g, r) is None]
-        failing.extend(frontier)
-        if d < depth:
-            frontier = {c for r in frontier for k in coords for c in halve(r, k)}
-    return failing
+    n = g.dim
+    cut = [slice(max(len(p.dom.words[d]) for p in g.pieces)) for d in range(n)]
+    verdicts: dict[tuple[str, ...], bool] = {}
+
+    def fails(words: tuple[str, ...]) -> bool:
+        key = tuple(map(str.__getitem__, words, cut))
+        if key not in verdicts:
+            verdicts[key] = is_affine_on(g, Rect._trusted(key)) is None
+        return verdicts[key]
+
+    moves = [(k, b) for k in range(n) for b in "01"]
+    levels, frontier = [], {("",) * n}
+    while frontier and len(levels) <= depth:
+        ws = sorted(filter(fails, frontier))
+        levels.append(list(map(Rect._trusted, ws)))
+        if len(levels) <= depth:
+            frontier = {w[:k] + (w[k] + b,) + w[k + 1 :] for w in ws for k, b in moves}
+    return levels + [[] for _ in range(depth + 1 - len(levels))]
 
 
 _GROWING_FINDING = (
@@ -290,9 +305,8 @@ class TruncatedCocycle:
             raise ValueError(f"depth {d} outside 0..{self.depth}")
         return _truncation(
             self.element,
-            d,
-            [m.rect for m in self.out_side if m.rect.depth <= d],
-            [r for r in self.in_side if r.depth <= d],
+            _by_depth(tuple(m.rect for m in self.out_side), d),
+            _by_depth(self.in_side, d),
         )
 
 
@@ -306,18 +320,23 @@ def sym_diff_truncated(g: Element, depth: int) -> TruncatedCocycle:
     """
     if depth < 0:
         raise ValueError("depth must be >= 0")
-    out_rects = [r for r in _failing_rects(inverse(g), depth) if r.depth >= 1]
-    in_rects = [r for r in _failing_rects(g, depth) if r.depth >= 1]
-    return _truncation(g, depth, out_rects, in_rects)
+    out_levels, in_levels = _failing_rects(inverse(g), depth), _failing_rects(g, depth)
+    out_levels[0] = in_levels[0] = []
+    return _truncation(g, out_levels, in_levels)
+
+
+def _by_depth(rects: tuple[Rect, ...], depth: int) -> list[list[Rect]]:
+    """Depth-sorted rectangles regrouped into one list per depth 0..``depth``."""
+    groups = {k: list(v) for k, v in groupby(rects, key=lambda r: r.depth)}
+    return [groups.get(k, []) for k in range(depth + 1)]
 
 
 def _truncation(
-    g: Element, depth: int, out_rects: list[Rect], in_rects: list[Rect]
+    g: Element, out_levels: list[list[Rect]], in_levels: list[list[Rect]]
 ) -> TruncatedCocycle:
-    """Counts and verdict for the members of X Δ gX up to ``depth``."""
-    per_depth = Counter(r.depth for r in out_rects + in_rects)
-    counts = tuple(accumulate(per_depth[d] for d in range(depth + 1)))
-    total = counts[-1]
+    """Counts and verdict for X Δ gX from each side's sorted members per depth."""
+    counts = tuple(accumulate(len(o) + len(i) for o, i in zip(out_levels, in_levels)))
+    depth, total = len(counts) - 1, counts[-1]
     d_star = next(d for d in range(depth + 1) if counts[d] == total)
     if d_star < depth:
         verdict = f"STABLE({d_star})"
@@ -327,15 +346,11 @@ def _truncation(
         verdict = "GROWING"
         stable_depth = None
         finding = _GROWING_FINDING.format(depth=depth)
-
-    def key(r: Rect) -> tuple:
-        return (r.depth, r.words)
-
     return TruncatedCocycle(
         element=g,
         depth=depth,
-        out_side=tuple(XMember(r) for r in sorted(out_rects, key=key)),
-        in_side=tuple(sorted(in_rects, key=key)),
+        out_side=tuple(map(XMember, chain.from_iterable(out_levels))),
+        in_side=tuple(chain.from_iterable(in_levels)),
         counts=counts,
         verdict=verdict,
         stable_depth=stable_depth,
@@ -584,6 +599,8 @@ def properness_bound_check(
     the sorted histogram ``[[bound - pieces, count], ...]`` over the stable
     elements.
     """
+    if ball_radius < 0:
+        raise ValueError("ball radius must be >= 0")
     report = CheckReport(
         "properness_bound",
         n,

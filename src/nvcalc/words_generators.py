@@ -345,6 +345,8 @@ def corollary_checks(n: int, i_max: int = 4) -> CheckReport:
     """
     if n < 1:
         raise ValueError("dimension must be >= 1")
+    if i_max < 2:
+        raise ValueError("i_max must be >= 2 to reach every family")
     report = CheckReport("corollary_checks", n, {"i_max": i_max})
 
     def add(section: str, lhs: str, rhs: str) -> None:

@@ -97,6 +97,26 @@ def test_library_value_error_exit_two(capsys, argv):
     assert err.count("\n") == 1
 
 
+@pytest.mark.parametrize(
+    "argv, message",
+    [
+        (["properness", "--n", "1", "--ball", "-1"], "ball radius must be >= 0"),
+        (["corollaries", "--n", "1", "--imax", "0"], "i_max must be >= 2"),
+        (["corollaries", "--n", "2", "--imax", "1"], "i_max must be >= 2"),
+        (["random", "--n", "0"], "dimension must be >= 1"),
+    ],
+    ids=["properness-ball", "corollaries-imax0", "corollaries-imax1", "random-n"],
+)
+def test_boundary_inputs_exit_two(capsys, argv, message):
+    """Inputs that once gave a silent wrong answer (the radius-0 ball, a
+    suite without its X_conjugation section) or an internal error."""
+    code, out, err = run(capsys, argv)
+    assert code == 2
+    assert out == ""
+    assert err.startswith("error: ") and message in err
+    assert err.count("\n") == 1
+
+
 # ---------------------------------------------------------------------------
 # computation commands
 
@@ -327,38 +347,52 @@ def test_json_output_byte_identical_across_runs(capsys):
 #: SHA-256 of the JSON envelope of sweeps whose output must not change when
 #: the engine under them is rebuilt.  Update a hash only with a change that
 #: means to change that command's output, and say so.
-PINNED_OUTPUTS = [
-    (
+PINNED_OUTPUTS = {
+    "cocycle-n2": (
         ["cocycle", "--n", "2", "--word", "X[1,0]", "--depth", "9"],
         "3122664d082d8f97c0c2acea8838802d6191eaf0acd8c21dba1c42fb508848b3",
     ),
-    (
+    "cocycle-n1": (
         ["cocycle", "--n", "1", "--word", "X[1,0] Pb[0]", "--depth", "8"],
         "95dcebc4d7b6c7c75156ce567ce3ca3e24c29dd05944af77915824ed55658e78",
     ),
-    (
+    "properness-n1": (
         ["properness", "--n", "1", "--ball", "3"],
         "23326a65f63fa2251036c4756d5488dcf100a84131136070d9a9855893377cc7",
     ),
-    (
+    "properness-n2": (
         ["properness", "--n", "2", "--ball", "1"],
         "f2383b6c5139a8a9dde32d34e258ab49e3df2191229ceb962e21c26dfd83ed0c",
     ),
-    (
+    "probe-n1": (
         ["probe", "--n", "1", "--word", "X[1,0] P[0]", "--depths", "0..7"],
         "b5456b6c52ecb39e3c9b9c10290fbfc62ad0cdd173f48930604d4834648e600d",
     ),
-    (
+    "fprobe-n2": (
         ["fprobe", "--n", "2", "--word", "X[1,0]", "--depth", "4"],
         "4a84360a59627ae5fa4df249fc2fb2c0111366c42c282fac75b9685ad62a988f",
     ),
-]
+    "cocycle-n3": (
+        ["cocycle", "--n", "3", "--word", "X[1,0]", "--depth", "6"],
+        "b335cc99796c856c05607f17b46e520b739d45cae93d15e3aa22c3d5a81bb848",
+    ),
+    "cocycle-n2-C": (
+        ["cocycle", "--n", "2", "--word", "C[2,0]", "--depth", "10"],
+        "331bb538940c2fca0b71264a3995006a89cefb308975697927b1b3fa3e141e4e",
+    ),
+    "probe-n2": (
+        ["probe", "--n", "2", "--word", "Pb[0]", "--depths", "0..10"],
+        "8a9843db27a54114d34454b542b17358b1b43a6ef30212a5f8b44a373e7e5a3b",
+    ),
+    "properness-n2-ball2": (
+        ["properness", "--n", "2", "--ball", "2"],
+        "66c2b4a2a9578045682ff36c6abe80895f01db314d919577a839a0c447938869",
+    ),
+}
 
 
 @pytest.mark.parametrize(
-    "argv, digest",
-    PINNED_OUTPUTS,
-    ids=[f"{argv[0]}-n{argv[2]}" for argv, _ in PINNED_OUTPUTS],
+    "argv, digest", PINNED_OUTPUTS.values(), ids=list(PINNED_OUTPUTS)
 )
 def test_json_output_pinned_across_commits(capsys, argv, digest):
     code, out, _ = run(capsys, argv)

@@ -317,6 +317,8 @@ def test_random_element_deterministic_and_valid():
     assert random_element(2, 5, 43) != a
     with pytest.raises(ValueError):
         random_element(1, 0, 0)
+    with pytest.raises(ValueError, match="dimension must be >= 1"):
+        random_element(0, 6, 0)
 
 
 def test_random_element_accepts_shared_rng():

@@ -367,6 +367,11 @@ def test_properness_growing_elements_become_findings():
     assert all(not c.asserted for c in rep.findings)
 
 
+def test_properness_rejects_negative_radius():
+    with pytest.raises(ValueError, match="ball radius"):
+        properness_bound_check(1, -1)
+
+
 # ---------------------------------------------------------------------------
 # the half-cube subgroup
 

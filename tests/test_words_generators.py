@@ -284,6 +284,14 @@ def test_corollary_checks_counts_and_verdict(n, count):
     assert report.all_pass
 
 
+def test_corollary_checks_reach_every_section():
+    # i_max = 2 is the least index that still instantiates X_conjugation
+    assert "X_conjugation" in corollary_checks(2, 2).section_counts()
+    for i_max in (1, 0, -1):
+        with pytest.raises(ValueError, match="i_max must be >= 2"):
+            corollary_checks(1, i_max)
+
+
 def test_conjugation_identity_independently():
     # X[1,2] = X[1,0]^-1 X[1,1] X[1,0], assembled without the word parser
     x0, x1 = make_X(1, 0, 1), make_X(1, 1, 1)
