@@ -199,9 +199,14 @@ def compose(g: Element, h: Element) -> Element:
     return Element.from_pieces(_compose_pieces(g, h.pieces))
 
 
+#: The most pieces one composition may produce; past it ``compose`` raises
+#: ValueError instead of running for minutes (``C[2,1]^k`` has 2^k + 1 pieces).
+MAX_PIECES = 2**16
+
+
 def _compose_pieces(g: Element, pieces: Iterable[AffinePiece]) -> list[AffinePiece]:
     """The pieces of g∘p for each piece p: p's range cut by the pieces of g's
-    coordinate-1 index it meets."""
+    coordinate-1 index it meets.  Raises ValueError past ``MAX_PIECES``."""
     out = []
     for ph in pieces:
         for pg in _candidates(g, ph.ran.words[0]):
@@ -213,6 +218,8 @@ def _compose_pieces(g: Element, pieces: Iterable[AffinePiece]) -> list[AffinePie
             dom = ph.inverted().image_of(m)
             ran = pg.image_of(m)
             out.append(AffinePiece(dom, ran))
+        if len(out) > MAX_PIECES:
+            raise ValueError(f"a composition would exceed {MAX_PIECES} pieces")
     return out
 
 

@@ -16,18 +16,21 @@ given rectangle:
     X - gX  <-> { R proper : g^{-1} is not one substitution on R },
     gX - X  <-> { R proper : g is not one substitution on R }.
 
-Failing rectangles are closed under passing to ancestors (a substitution on
-R restricts to one on every sub-rectangle), which yields an exact pruned
-breadth-first enumeration of the symmetric difference up to any depth: the
-depth-d frontier is precisely the set of failing depth-d rectangles, and an
-empty frontier certifies that nothing deeper fails.
-
 Cylinder lemma: let L_d be the longest coordinate-d domain word of g's pieces
 and tau(R) cut each word w_d of R to its first L_d letters.  Then g is one
 substitution on R iff on tau(R); failing sets are finite unions of cylinders.
 Proof sketch: once len(w_d) >= L_d, the same pieces meet R and its halves in
 d, each piece word u_d is a prefix of w_d, and halving appends one letter to
 every coordinate-d target v_d + w_d[len(u_d):]: agreement is unchanged.
+
+So the search runs over cut tuples T (len(T_d) <= L_d), a finite box.
+Failing tuples are closed under dropping a last letter (a substitution on a
+rectangle restricts to one on each child), so a pruned breadth-first search
+that extends only unsaturated coordinates (len(T_d) < L_d) finds every
+failing T with one affinity test each.  The failing rectangles of depth d
+are the cylinder members: T with e = d - |T| letters appended to its s
+saturated coordinates in every way, C(e+s-1, s-1) * 2^e of them (one, at
+e = 0, when s = 0).  Counts therefore need no member at all.
 
 The module computes these truncated symmetric differences with a
 stabilised/growing verdict, checks the cocycle identity
@@ -40,10 +43,12 @@ finite generating set to compare piece counts against a properness bound.
 from __future__ import annotations
 
 import math
+from bisect import bisect_right
 from collections import Counter
 from dataclasses import dataclass, field
 from fractions import Fraction
-from itertools import accumulate, chain, groupby
+from itertools import accumulate, chain, product
+from operator import add, attrgetter
 
 from nvcalc.dyadic_core import (
     Pattern,
@@ -92,6 +97,7 @@ __all__ = [
     "coset_translate",
     "embed_in_half",
     "f_P_probe",
+    "failing_cylinders",
     "in_H",
     "in_X",
     "in_gX",
@@ -138,9 +144,7 @@ def coset_eq(a: CosetRep | Element, b: CosetRep | Element) -> bool:
     for p in a.restriction:
         for q in b.restriction:
             m = rect_intersect(p.dom, q.dom)
-            if m is None:
-                continue
-            if p.image_of(m) != q.image_of(m):
+            if m is not None and p.image_of(m) != q.image_of(m):
                 return False
     return True
 
@@ -211,34 +215,62 @@ def rect_to_coset(r: Rect) -> Element:
     return Element.from_pieces(pieces)
 
 
-def _failing_rects(g: Element, depth: int) -> list[list[Rect]]:
-    """The rectangles on which g is not one substitution, one sorted list per
-    depth 0..``depth``.
+def failing_cylinders(
+    g: Element, depth: int
+) -> tuple[tuple[int, ...], list[tuple[str, ...]]]:
+    """L, g's longest domain word per coordinate, and the failing cut tuples
+    T (len(T_d) <= L_d) with |T| <= ``depth``, in (|T|, words) order.
 
-    Pruned breadth-first search on word tuples, stopped at the first empty
-    level: every failing rectangle has a failing parent (a substitution on a
-    rectangle restricts to one on each child).  By the cylinder lemma (module
-    docstring) R fails iff tau(R), R cut to g's longest domain word per
-    coordinate, fails; each tau(R) is tested once.
+    The breadth-first search extends only unsaturated coordinates, so it
+    tests each T once and ends inside the finite box (module docstring).
     """
     n = g.dim
-    cut = [slice(max(len(p.dom.words[d]) for p in g.pieces)) for d in range(n)]
-    verdicts: dict[tuple[str, ...], bool] = {}
+    cut = tuple(max(len(p.dom.words[d]) for p in g.pieces) for d in range(n))
+    found, level = [], [("",) * n]
+    for _ in range(min(depth, sum(cut)) + 1):
+        level = sorted(w for w in level if is_affine_on(g, Rect._trusted(w)) is None)
+        if not level:
+            break
+        found += level
+        level = {
+            w[:k] + (w[k] + b,) + w[k + 1 :]
+            for w in level for k in range(n) if len(w[k]) < cut[k] for b in "01"
+        }
+    return cut, found
 
-    def fails(words: tuple[str, ...]) -> bool:
-        key = tuple(map(str.__getitem__, words, cut))
-        if key not in verdicts:
-            verdicts[key] = is_affine_on(g, Rect._trusted(key)) is None
-        return verdicts[key]
 
-    moves = [(k, b) for k in range(n) for b in "01"]
-    levels, frontier = [], {("",) * n}
-    while frontier and len(levels) <= depth:
-        ws = sorted(filter(fails, frontier))
-        levels.append(list(map(Rect._trusted, ws)))
-        if len(levels) <= depth:
-            frontier = {w[:k] + (w[k] + b,) + w[k + 1 :] for w in ws for k, b in moves}
-    return levels + [[] for _ in range(depth + 1 - len(levels))]
+def _cylinder_levels(
+    cut: tuple[int, ...], cylinders: list[tuple[str, ...]], depth: int
+) -> list[list[Rect]]:
+    """The rectangles of depth <= ``depth`` cut to one of ``cylinders``, one
+    sorted list per depth: T with each saturated coordinate extended."""
+    levels: list[list[Rect]] = [[] for _ in range(depth + 1)]
+    for t in cylinders:
+        members = [(sum(map(len, t)), t)]
+        for k, c in enumerate(cut):
+            if len(t[k]) == c:
+                members = [
+                    (m + j, w[:k] + (w[k] + "".join(x),) + w[k + 1 :])
+                    for m, w in members
+                    for j in range(depth - m + 1)
+                    for x in product("01", repeat=j)
+                ]
+        for m, w in members:
+            levels[m].append(Rect._trusted(w))
+    return [sorted(level, key=attrgetter("words")) for level in levels]
+
+
+def _level_sizes(
+    cut: tuple[int, ...], cylinders: list[tuple[str, ...]], depth: int
+) -> list[int]:
+    """``_cylinder_levels``' lengths in closed form: T with s >= 1 saturated
+    coordinates has C(e+s-1, s-1) * 2^e members of depth |T| + e."""
+    sizes = [0] * (depth + 1)
+    for t in cylinders:
+        size, s = sum(map(len, t)), sum(map(lambda w, c: len(w) == c, t, cut))
+        for e in range(depth - size + 1 if s else 1):
+            sizes[size + e] += math.comb(e + s - 1, e) << e if s else 1
+    return sizes
 
 
 _GROWING_FINDING = (
@@ -303,11 +335,10 @@ class TruncatedCocycle:
         """
         if not 0 <= d <= self.depth:
             raise ValueError(f"depth {d} outside 0..{self.depth}")
-        return _truncation(
-            self.element,
-            _by_depth(tuple(m.rect for m in self.out_side), d),
-            _by_depth(self.in_side, d),
-        )
+        out_end = bisect_right(self.out_side, d, key=attrgetter("rect.depth"))
+        in_end = bisect_right(self.in_side, d, key=attrgetter("depth"))
+        sides = self.out_side[:out_end], self.in_side[:in_end]
+        return _truncation(self.element, *sides, self.counts[: d + 1])
 
 
 def sym_diff_truncated(g: Element, depth: int) -> TruncatedCocycle:
@@ -320,43 +351,44 @@ def sym_diff_truncated(g: Element, depth: int) -> TruncatedCocycle:
     """
     if depth < 0:
         raise ValueError("depth must be >= 0")
-    out_levels, in_levels = _failing_rects(inverse(g), depth), _failing_rects(g, depth)
-    out_levels[0] = in_levels[0] = []
-    return _truncation(g, out_levels, in_levels)
+    out_levels, in_levels = (
+        _cylinder_levels(*failing_cylinders(h, depth), depth) for h in (inverse(g), g)
+    )
+    return _truncation(
+        g,
+        tuple(map(XMember, chain.from_iterable(out_levels[1:]))),
+        tuple(chain.from_iterable(in_levels[1:])),
+        _counts([*map(len, out_levels)], [*map(len, in_levels)]),
+    )
 
 
-def _by_depth(rects: tuple[Rect, ...], depth: int) -> list[list[Rect]]:
-    """Depth-sorted rectangles regrouped into one list per depth 0..``depth``."""
-    groups = {k: list(v) for k, v in groupby(rects, key=lambda r: r.depth)}
-    return [groups.get(k, []) for k in range(depth + 1)]
+def _counts(out_sizes: list[int], in_sizes: list[int]) -> tuple[int, ...]:
+    """Cumulative counts from level sizes; depth 0, the cube, names no coset."""
+    return tuple(accumulate(map(add, out_sizes[1:], in_sizes[1:]), initial=0))
+
+
+def _stable_depth(counts: tuple[int, ...]) -> int | None:
+    """The first depth whose count is final, if short of the last; else None."""
+    d = counts.index(counts[-1])
+    return d if d < len(counts) - 1 else None
 
 
 def _truncation(
-    g: Element, out_levels: list[list[Rect]], in_levels: list[list[Rect]]
+    g: Element, out_side: tuple[XMember, ...], in_side: tuple[Rect, ...], counts
 ) -> TruncatedCocycle:
-    """Counts and verdict for X Δ gX from each side's sorted members per depth."""
-    counts = tuple(accumulate(len(o) + len(i) for o, i in zip(out_levels, in_levels)))
-    depth, total = len(counts) - 1, counts[-1]
-    d_star = next(d for d in range(depth + 1) if counts[d] == total)
-    if d_star < depth:
-        verdict = f"STABLE({d_star})"
-        stable_depth: int | None = d_star
-        finding = None
-    else:
-        verdict = "GROWING"
-        stable_depth = None
-        finding = _GROWING_FINDING.format(depth=depth)
+    """The truncation of X Δ gX with these depth-sorted sides and counts."""
+    depth, total, stable = len(counts) - 1, counts[-1], _stable_depth(counts)
     return TruncatedCocycle(
         element=g,
         depth=depth,
-        out_side=tuple(map(XMember, chain.from_iterable(out_levels))),
-        in_side=tuple(chain.from_iterable(in_levels)),
+        out_side=out_side,
+        in_side=in_side,
         counts=counts,
-        verdict=verdict,
-        stable_depth=stable_depth,
+        verdict="GROWING" if stable is None else f"STABLE({stable})",
+        stable_depth=stable,
         total=total,
         norm=math.sqrt(total),
-        open_finding=finding,
+        open_finding=_GROWING_FINDING.format(depth=depth) if stable is None else None,
     )
 
 
@@ -378,9 +410,7 @@ def cocycle_identity_check(
         raise ValueError(f"dimension mismatch: {g.dim} vs {h.dim}")
     n = g.dim
     gh = compose(g, h)
-    gh_inv = inverse(gh)
-    g_inv = inverse(g)
-    h_inv = inverse(h)
+    gh_inv, g_inv, h_inv = inverse(gh), inverse(g), inverse(h)
     il = rect_Il(n)
     report = CheckReport("cocycle_identity", n, {"depth": depth})
     for r in enumerate_rects(n, depth):
@@ -405,14 +435,10 @@ def cocycle_identity_check(
 def alpha_points(n: int) -> tuple[Point, ...]:
     """The probe points: (1/4, 0, ..., 0) and, per later coordinate i, the
     point with 1/2 in slot i and 0 elsewhere.  All lie in I_l."""
-    pts = [
-        tuple(Fraction(1, 4) if d == 0 else Fraction(0) for d in range(n))
-    ]
-    for i in range(1, n):
-        pts.append(
-            tuple(Fraction(1, 2) if d == i else Fraction(0) for d in range(n))
-        )
-    return tuple(pts)
+    return tuple(
+        tuple(Fraction(1, 2 if i else 4) if d == i else Fraction(0) for d in range(n))
+        for i in range(n)
+    )
 
 
 @dataclass(frozen=True)
@@ -456,15 +482,11 @@ class FPProbeResult:
             "corner_mode": self.corner_mode,
             "pattern": [list(r.words) for r in self.pattern],
             "members": [list(r.words) for r in self.members],
-            "members_corner_meets": [
-                list(r.words) for r in self.members_corner_meets
-            ],
+            "members_corner_meets": [list(r.words) for r in self.members_corner_meets],
             "values": [
                 {
                     "rect": list(r.words),
-                    "points": [
-                        [str(x) for x in p] for p in self.values[r]
-                    ],
+                    "points": [list(map(str, p)) for p in self.values[r]],
                 }
                 for r in self.members
             ],
@@ -482,14 +504,10 @@ class FPProbeResult:
 
 
 def _closure_contains(r: Rect, p: Point, half_open: bool) -> bool:
-    for (lo, hi), x in zip(r.intervals(), p):
-        if half_open:
-            if not lo <= x < hi:
-                return False
-        else:
-            if not lo <= x <= hi:
-                return False
-    return True
+    return all(
+        lo <= x < hi if half_open else lo <= x <= hi
+        for (lo, hi), x in zip(r.intervals(), p)
+    )
 
 
 def f_P_probe(
@@ -558,11 +576,9 @@ def _ball_elements(
     """Distinct elements of the word ball of the given radius over S and
     inverses as reduced tables (which tell them apart), labelled by a shortest
     word reaching each; includes the identity (empty word)."""
-    letters: list[tuple[str, Element]] = []
-    for label, e in gen_set_S(n):
-        letters.append((label, e))
-        letters.append((f"({label})^-1", inverse(e)))
-
+    letters = [
+        x for s, e in gen_set_S(n) for x in ((s, e), (f"({s})^-1", inverse(e)))
+    ]
     ident = identity(n)
     seen: dict[Element, str] = {simplify(ident): ""}
     frontier: list[tuple[str, Element]] = [("", ident)]
@@ -587,10 +603,13 @@ def properness_bound_check(
     """Piece-count bound over a word ball of the finite generating set.
 
     For every distinct element g in the ball of the given radius over S and
-    inverses, enumerate X Δ gX.  With ``depth=None`` each element is
-    truncated adaptively at its own reduced table depth plus one (empirically
-    the exact stabilization threshold in dimension 1); an integer fixes one
-    truncation depth for all.  When the truncation stabilises with total m
+    inverses, count X Δ gX from its cylinders (no member is built).  With
+    ``depth=None`` each element is truncated at its own reduced table depth
+    plus one, which decides finiteness exactly in dimension 1: a failing
+    saturated cut tuple (module docstring) keeps the counts growing at every
+    depth, and without one every failing word is shorter than L <= table
+    depth, so the truncation is STABLE with the exact total.  An integer
+    fixes one truncation depth for all.  When the truncation stabilises with total m
     (the squared norm of the cocycle value), assert that the reduced piece
     table of g has at most (m + 4)^n cells — a small symmetric difference
     forces a coarse element, the quantitative heart of properness of the
@@ -612,20 +631,26 @@ def properness_bound_check(
     elements = _ball_elements(n, ball_radius)
     stable = growing = 0
     slack: Counter[int] = Counter()
-    for label, g in elements:  # g is reduced: its depth and size are final
-        pieces = len(g.pieces)
+    depths, sizes = {}, {}
+    for _, g in elements:  # g is reduced: its depth and size are final
         table_depth = max(max(p.dom.depth, p.ran.depth) for p in g.pieces)
-        d = depth if depth is not None else table_depth + 1
-        t = sym_diff_truncated(g, d)
-        bound = (t.total + 4) ** n
+        depths[g] = d = depth if depth is not None else table_depth + 1
+        sizes[g] = _level_sizes(*failing_cylinders(g, d), d)
+    for label, g in elements:
+        pieces, d, g_inv = len(g.pieces), depths[g], inverse(g)
+        # The ball holds g^{-1} too, with g's depth: its sizes are known.
+        out_sizes = sizes.get(g_inv) or _level_sizes(*failing_cylinders(g_inv, d), d)
+        counts = _counts(out_sizes, sizes[g])
+        total = counts[-1]
+        bound = (total + 4) ** n
         word = label or "<empty>"
-        if t.stable_depth is not None:
+        if _stable_depth(counts) is not None:
             stable += 1
             slack[bound - pieces] += 1
             report.checks.append(
                 CheckResult(
                     "piece_bound",
-                    f"{word}: pieces {pieces} <= ({t.total}+4)^{n} = {bound}",
+                    f"{word}: pieces {pieces} <= ({total}+4)^{n} = {bound}",
                     pieces <= bound,
                 )
             )
@@ -635,7 +660,7 @@ def properness_bound_check(
                 CheckResult(
                     "piece_bound",
                     f"{word}: truncation still growing at depth {d} "
-                    f"(total so far {t.total}, pieces {pieces})",
+                    f"(total so far {total}, pieces {pieces})",
                     True,
                     asserted=False,
                     note="no bound claimed for a growing truncation",
@@ -712,16 +737,8 @@ def normalizer_commutation_check(
             )
         )
 
-    swap = Element.from_pieces(
-        [
-            AffinePiece(
-                Rect(("0",) + ("",) * (n - 1)), Rect(("1",) + ("",) * (n - 1))
-            ),
-            AffinePiece(
-                Rect(("1",) + ("",) * (n - 1)), Rect(("0",) + ("",) * (n - 1))
-            ),
-        ]
-    )
+    il, ir = rect_Il(n), rect_Ir(n)
+    swap = Element.from_pieces([AffinePiece(il, ir), AffinePiece(ir, il)])
     run_case("witness(half-swap)", swap, swap)
     for s in range(samples):
         a = random_element(n, 4, seed * 1000 + 2 * s)

@@ -2,11 +2,12 @@
 
 import hashlib
 import json
+import time
 
 import pytest
 
 from nvcalc.cli import main
-from nvcalc.element_algebra import element_to_json, random_element
+from nvcalc.element_algebra import MAX_PIECES, element_to_json, random_element
 
 
 def run(capsys, argv):
@@ -115,6 +116,16 @@ def test_boundary_inputs_exit_two(capsys, argv, message):
     assert out == ""
     assert err.startswith("error: ") and message in err
     assert err.count("\n") == 1
+
+
+def test_word_past_the_piece_budget_exits_two_quickly(capsys):
+    """``C[2,1]^20`` has 2^20 + 1 pieces; building it once took 38 s."""
+    start = time.perf_counter()
+    code, out, err = run(capsys, ["eval", "--n", "2", "--word", "C[2,1]^20"])
+    assert time.perf_counter() - start < 10
+    assert code == 2
+    assert out == ""
+    assert err == f"error: a composition would exceed {MAX_PIECES} pieces\n"
 
 
 # ---------------------------------------------------------------------------
@@ -387,6 +398,14 @@ PINNED_OUTPUTS = {
     "properness-n2-ball2": (
         ["properness", "--n", "2", "--ball", "2"],
         "66c2b4a2a9578045682ff36c6abe80895f01db314d919577a839a0c447938869",
+    ),
+    "probe-n2-12": (
+        ["probe", "--n", "2", "--word", "Pb[0]", "--depths", "0..12"],
+        "ab016203dd624697d676cfdf03823c834562691fdd3687c315c761241866612d",
+    ),
+    "properness-n3": (
+        ["properness", "--n", "3", "--ball", "1"],
+        "1eedb2741a61fbd4678c722897fe1e91a9c0f1e6f5daef000fb8bf1087ebe037",
     ),
 }
 

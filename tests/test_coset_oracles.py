@@ -3,13 +3,16 @@
 The references below translate a coset by composing with its whole
 representative (``coset_of(compose(g, k))``), build the X-coset of a
 rectangle from the witness ``rect_to_coset``, decide failing rectangles one
-by one with ``affine_extension(restrict(g, r), r)``, and search them breadth
+by one with ``affine_extension(restrict(g, r), r)``, search them breadth
 first with one ``is_affine_on`` test per frontier rectangle, without the
-cylinder lemma.  The fast paths must give ``==`` restriction tuples and the
-same rectangle sets, level by level.
+cylinder lemma, and search them level by level with one test per cut
+rectangle.  The fast paths (coset translation on restrictions, and the
+failing rectangles expanded from ``failing_cylinders``) must give ``==``
+restriction tuples and the same rectangle lists, level by level.
 """
 
 import random
+from unittest import mock
 
 import pytest
 from hypothesis import given, settings
@@ -27,9 +30,11 @@ from nvcalc.element_algebra import (
 )
 from nvcalc.ends_cocycle import (
     CosetRep,
-    _failing_rects,
+    _cylinder_levels,
+    _level_sizes,
     coset_of,
     coset_translate,
+    failing_cylinders,
     rect_to_coset,
     sym_diff_truncated,
 )
@@ -56,6 +61,34 @@ def failing_rects_bfs(g, depth):
         if d < depth:
             frontier = {c for r in frontier for k in coords for c in halve(r, k)}
     return failing
+
+
+def failing_rects_memoised(g, depth):
+    """The level-by-level search over every failing rectangle, one sorted
+    list per depth 0..``depth``, testing each cut rectangle tau(R) once."""
+    n = g.dim
+    cut = [slice(c) for c in domain_cut(g)]
+    verdicts = {}
+
+    def fails(words):
+        key = tuple(map(str.__getitem__, words, cut))
+        if key not in verdicts:
+            verdicts[key] = is_affine_on(g, Rect._trusted(key)) is None
+        return verdicts[key]
+
+    moves = [(k, b) for k in range(n) for b in "01"]
+    levels, frontier = [], {("",) * n}
+    while frontier and len(levels) <= depth:
+        ws = sorted(filter(fails, frontier))
+        levels.append(list(map(Rect._trusted, ws)))
+        if len(levels) <= depth:
+            frontier = {w[:k] + (w[k] + b,) + w[k + 1 :] for w in ws for k, b in moves}
+    return levels + [[] for _ in range(depth + 1 - len(levels))]
+
+
+def cylinder_levels(g, depth):
+    """The failing rectangles per depth, expanded from g's cylinders."""
+    return _cylinder_levels(*failing_cylinders(g, depth), depth)
 
 
 def by_level(rects, depth):
@@ -133,22 +166,59 @@ def test_failing_rects_match_bfs_on_random_elements(seed, n):
     rng = random.Random(seed)
     g = random_element(n, rng.randint(1, 24), rng)
     depth = LEVEL_DEPTHS[n]
-    assert _failing_rects(g, depth) == by_level(failing_rects_bfs(g, depth), depth)
+    assert cylinder_levels(g, depth) == by_level(failing_rects_bfs(g, depth), depth)
 
 
 @pytest.mark.parametrize("n", [1, 2, 3])
 def test_failing_rects_match_bfs_on_letters(n):
     depth = LEVEL_DEPTHS[n]
     for g in letters(n):
-        assert _failing_rects(g, depth) == by_level(failing_rects_bfs(g, depth), depth)
+        assert cylinder_levels(g, depth) == by_level(failing_rects_bfs(g, depth), depth)
+
+
+def check_cylinders(g, depth):
+    """Expanded cylinders equal the memoised search level by level, the
+    closed-form sizes are the level lengths, and the cut tuples stay in the
+    box, which bounds the search whatever the depth."""
+    cut, cylinders = failing_cylinders(g, depth)
+    levels = _cylinder_levels(cut, cylinders, depth)
+    assert levels == failing_rects_memoised(g, depth)
+    assert _level_sizes(cut, cylinders, depth) == [len(level) for level in levels]
+    assert all(len(w) <= c for t in cylinders for w, c in zip(t, cut))
+    assert failing_cylinders(g, 10**9) == failing_cylinders(g, sum(cut))
+
+
+@given(st.integers(0, 10**6), st.integers(1, 3))
+@settings(max_examples=80, deadline=None)
+def test_cylinders_match_memoised_search_on_random_elements(seed, n):
+    rng = random.Random(seed)
+    check_cylinders(random_element(n, rng.randint(1, 24), rng), LEVEL_DEPTHS[n])
+
+
+@pytest.mark.parametrize("n", [1, 2, 3])
+def test_cylinders_match_memoised_search_on_letters(n):
+    for g in letters(n):
+        check_cylinders(g, LEVEL_DEPTHS[n])
+
+
+@pytest.mark.parametrize("n", [1, 2, 3])
+def test_cylinder_search_makes_the_same_affinity_tests(n):
+    """The cylinder search makes exactly the memoised search's affinity tests."""
+    depth = LEVEL_DEPTHS[n]
+    for g in letters(n):
+        with mock.patch(f"{__name__}.is_affine_on", wraps=is_affine_on) as old:
+            failing_rects_memoised(g, depth)
+        with mock.patch("nvcalc.ends_cocycle.is_affine_on", wraps=is_affine_on) as new:
+            failing_cylinders(g, depth)
+        assert new.call_count == old.call_count
 
 
 @pytest.mark.parametrize("n, depth", [(2, 6), (3, 3)])
 def test_failing_rects_match_brute_force(n, depth):
-    """The pruned search finds exactly the rectangles the per-rectangle
+    """The cylinder levels hold exactly the rectangles the per-rectangle
     oracle rejects, and the truncation's counts are the per-depth recounts."""
     for g in letters(n):
-        levels = _failing_rects(g, depth)
+        levels = cylinder_levels(g, depth)
         found = [r for level in levels for r in level]
         assert len(found) == len(set(found))
         assert set(found) == failing_rects_brute_force(g, depth)

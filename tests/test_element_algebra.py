@@ -8,6 +8,7 @@ import pytest
 from hypothesis import given, settings
 from hypothesis import strategies as st
 
+from nvcalc import element_algebra
 from nvcalc.dyadic_core import Rect, is_partition, rect_Il, rect_Ir
 from nvcalc.element_algebra import (
     AffinePiece,
@@ -137,6 +138,15 @@ def test_compose_square_table():
         ("1", "111"),
     ]
     assert len(x2.pieces) == 4
+
+
+def test_compose_piece_budget(monkeypatch):
+    """compose raises once its output passes the budget, not at it."""
+    monkeypatch.setattr(element_algebra, "MAX_PIECES", 4)
+    assert len(compose(X, X).pieces) == 4
+    monkeypatch.setattr(element_algebra, "MAX_PIECES", 3)
+    with pytest.raises(ValueError, match="exceed 3 pieces"):
+        compose(X, X)
 
 
 def test_compose_dim_mismatch():
