@@ -209,10 +209,6 @@ def _config_echo(args: argparse.Namespace) -> dict[str, Any]:
     }
 
 
-def _rects_text(rects: list[list[str]], empty: str) -> str:
-    return " ".join(",".join(w or "e" for w in r) for r in rects) or empty
-
-
 def _render_text(envelope: dict[str, Any]) -> str:
     lines = [
         f"nvcalc {envelope['version']} — {envelope['command']}",
@@ -239,8 +235,18 @@ def _render_text(envelope: dict[str, Any]) -> str:
         lines.append(f"  counts by depth: {report['counts_by_depth']}")
         if report.get("open_finding"):
             lines.append(f"  {report['open_finding']}")
-        lines.append("  X - gX: " + _rects_text(report["out_side"], "(none)"))
-        lines.append("  gX - X: " + _rects_text(report["in_side"], "(none)"))
+        lines.append(
+            "  X - gX: " + (
+                " ".join(",".join(w or "e" for w in r) for r in report["out_side"])
+                or "(none)"
+            )
+        )
+        lines.append(
+            "  gX - X: " + (
+                " ".join(",".join(w or "e" for w in r) for r in report["in_side"])
+                or "(none)"
+            )
+        )
     elif "element" in report:
         for piece in report["element"]["pieces"]:
             dom = ",".join(w or "e" for w in piece["dom"])
@@ -264,7 +270,13 @@ def _render_text(envelope: dict[str, Any]) -> str:
     elif "image" in report:
         lines.append(f"  image: {report['image']}")
     elif "support" in report:
-        lines.append("  support: " + _rects_text(report["support"], "(empty)"))
+        lines.append(
+            "  support: "
+            + (
+                " ".join(",".join(w or "e" for w in r) for r in report["support"])
+                or "(empty)"
+            )
+        )
     lines.append("RESULT: " + ("PASS" if envelope["ok"] else "FAIL"))
     return "\n".join(lines) + "\n"
 
@@ -281,7 +293,11 @@ def build_parser() -> argparse.ArgumentParser:
 
     def common(sp: argparse.ArgumentParser, *, n_required: bool = True) -> None:
         sp.add_argument(
-            "--n", type=int, required=n_required, help="dimension of the cube"
+            "--n",
+            type=int,
+            required=n_required,
+            default=None,
+            help="dimension of the cube",
         )
         sp.add_argument("--format", choices=("json", "text"), default="json")
         sp.add_argument("--output", default=None, help="write output to file")
@@ -354,6 +370,7 @@ def build_parser() -> argparse.ArgumentParser:
     sp.add_argument(
         "--depth",
         type=int,
+        default=None,
         help="truncation depth (default: adaptive, element depth + 1)",
     )
 

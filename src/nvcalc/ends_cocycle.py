@@ -144,7 +144,9 @@ def coset_eq(a: CosetRep | Element, b: CosetRep | Element) -> bool:
     for p in a.restriction:
         for q in b.restriction:
             m = rect_intersect(p.dom, q.dom)
-            if m is not None and p.image_of(m) != q.image_of(m):
+            if m is None:
+                continue
+            if p.image_of(m) != q.image_of(m):
                 return False
     return True
 
@@ -224,6 +226,8 @@ def failing_cylinders(
     The breadth-first search extends only unsaturated coordinates, so it
     tests each T once and ends inside the finite box (module docstring).
     """
+    if depth < 0:
+        raise ValueError("depth must be >= 0")
     n = g.dim
     cut = tuple(max(len(p.dom.words[d]) for p in g.pieces) for d in range(n))
     found, level = [], [("",) * n]
@@ -349,8 +353,6 @@ def sym_diff_truncated(g: Element, depth: int) -> TruncatedCocycle:
     proper rectangle on which g is not one substitution.  The whole cube
     (depth 0) is excluded: it never names a coset in X.
     """
-    if depth < 0:
-        raise ValueError("depth must be >= 0")
     out_levels, in_levels = (
         _cylinder_levels(*failing_cylinders(h, depth), depth) for h in (inverse(g), g)
     )
@@ -410,7 +412,9 @@ def cocycle_identity_check(
         raise ValueError(f"dimension mismatch: {g.dim} vs {h.dim}")
     n = g.dim
     gh = compose(g, h)
-    gh_inv, g_inv, h_inv = inverse(gh), inverse(g), inverse(h)
+    gh_inv = inverse(gh)
+    g_inv = inverse(g)
+    h_inv = inverse(h)
     il = rect_Il(n)
     report = CheckReport("cocycle_identity", n, {"depth": depth})
     for r in enumerate_rects(n, depth):
@@ -435,10 +439,14 @@ def cocycle_identity_check(
 def alpha_points(n: int) -> tuple[Point, ...]:
     """The probe points: (1/4, 0, ..., 0) and, per later coordinate i, the
     point with 1/2 in slot i and 0 elsewhere.  All lie in I_l."""
-    return tuple(
-        tuple(Fraction(1, 2 if i else 4) if d == i else Fraction(0) for d in range(n))
-        for i in range(n)
-    )
+    pts = [
+        tuple(Fraction(1, 4) if d == 0 else Fraction(0) for d in range(n))
+    ]
+    for i in range(1, n):
+        pts.append(
+            tuple(Fraction(1, 2) if d == i else Fraction(0) for d in range(n))
+        )
+    return tuple(pts)
 
 
 @dataclass(frozen=True)
@@ -482,11 +490,15 @@ class FPProbeResult:
             "corner_mode": self.corner_mode,
             "pattern": [list(r.words) for r in self.pattern],
             "members": [list(r.words) for r in self.members],
-            "members_corner_meets": [list(r.words) for r in self.members_corner_meets],
+            "members_corner_meets": [
+                list(r.words) for r in self.members_corner_meets
+            ],
             "values": [
                 {
                     "rect": list(r.words),
-                    "points": [list(map(str, p)) for p in self.values[r]],
+                    "points": [
+                        [str(x) for x in p] for p in self.values[r]
+                    ],
                 }
                 for r in self.members
             ],
@@ -504,10 +516,14 @@ class FPProbeResult:
 
 
 def _closure_contains(r: Rect, p: Point, half_open: bool) -> bool:
-    return all(
-        lo <= x < hi if half_open else lo <= x <= hi
-        for (lo, hi), x in zip(r.intervals(), p)
-    )
+    for (lo, hi), x in zip(r.intervals(), p):
+        if half_open:
+            if not lo <= x < hi:
+                return False
+        else:
+            if not lo <= x <= hi:
+                return False
+    return True
 
 
 def f_P_probe(
@@ -576,9 +592,11 @@ def _ball_elements(
     """Distinct elements of the word ball of the given radius over S and
     inverses as reduced tables (which tell them apart), labelled by a shortest
     word reaching each; includes the identity (empty word)."""
-    letters = [
-        x for s, e in gen_set_S(n) for x in ((s, e), (f"({s})^-1", inverse(e)))
-    ]
+    letters: list[tuple[str, Element]] = []
+    for label, e in gen_set_S(n):
+        letters.append((label, e))
+        letters.append((f"({label})^-1", inverse(e)))
+
     ident = identity(n)
     seen: dict[Element, str] = {simplify(ident): ""}
     frontier: list[tuple[str, Element]] = [("", ident)]
@@ -609,8 +627,8 @@ def properness_bound_check(
     saturated cut tuple (module docstring) keeps the counts growing at every
     depth, and without one every failing word is shorter than L <= table
     depth, so the truncation is STABLE with the exact total.  An integer
-    fixes one truncation depth for all.  When the truncation stabilises with total m
-    (the squared norm of the cocycle value), assert that the reduced piece
+    fixes one truncation depth for all.  When the truncation stabilises with
+    total m (the squared norm of the cocycle value), assert that the reduced piece
     table of g has at most (m + 4)^n cells — a small symmetric difference
     forces a coarse element, the quantitative heart of properness of the
     coset action.  Elements whose truncation is still growing are reported
@@ -631,16 +649,15 @@ def properness_bound_check(
     elements = _ball_elements(n, ball_radius)
     stable = growing = 0
     slack: Counter[int] = Counter()
-    depths, sizes = {}, {}
-    for _, g in elements:  # g is reduced: its depth and size are final
+    sizes: dict[Element, list[int]] = {}  # the ball holds g^{-1}: count it once
+    for label, g in elements:  # g is reduced: its depth and size are final
+        pieces, g_inv = len(g.pieces), inverse(g)
         table_depth = max(max(p.dom.depth, p.ran.depth) for p in g.pieces)
-        depths[g] = d = depth if depth is not None else table_depth + 1
-        sizes[g] = _level_sizes(*failing_cylinders(g, d), d)
-    for label, g in elements:
-        pieces, d, g_inv = len(g.pieces), depths[g], inverse(g)
-        # The ball holds g^{-1} too, with g's depth: its sizes are known.
-        out_sizes = sizes.get(g_inv) or _level_sizes(*failing_cylinders(g_inv, d), d)
-        counts = _counts(out_sizes, sizes[g])
+        d = depth if depth is not None else table_depth + 1  # also g^{-1}'s
+        for h in (g_inv, g):
+            if h not in sizes:
+                sizes[h] = _level_sizes(*failing_cylinders(h, d), d)
+        counts = _counts(sizes[g_inv], sizes[g])
         total = counts[-1]
         bound = (total + 4) ** n
         word = label or "<empty>"
@@ -737,8 +754,16 @@ def normalizer_commutation_check(
             )
         )
 
-    il, ir = rect_Il(n), rect_Ir(n)
-    swap = Element.from_pieces([AffinePiece(il, ir), AffinePiece(ir, il)])
+    swap = Element.from_pieces(
+        [
+            AffinePiece(
+                Rect(("0",) + ("",) * (n - 1)), Rect(("1",) + ("",) * (n - 1))
+            ),
+            AffinePiece(
+                Rect(("1",) + ("",) * (n - 1)), Rect(("0",) + ("",) * (n - 1))
+            ),
+        ]
+    )
     run_case("witness(half-swap)", swap, swap)
     for s in range(samples):
         a = random_element(n, 4, seed * 1000 + 2 * s)

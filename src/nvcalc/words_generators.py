@@ -485,18 +485,26 @@ def premise_checks(n: int) -> CheckReport:
             )
     p0 = make_pi(0, n)
     for z_label, z in gen_set_S1(n):
+        commutes = equals(compose(p0, z), compose(z, p0))
         in_s1prime = not z_label.startswith("X")
-        report.checks.append(
-            CheckResult(
-                "commutators_with_P0",
-                f"[P[0], {z_label}] = 1",
-                equals(compose(p0, z), compose(z, p0)),
-                asserted=in_s1prime,
-                note="" if in_s1prime else (
-                    "observed non-commutation, as the defining relations "
-                    "predict (P[j] and X[d,i] commute only for i > j+1); "
-                    "recorded as data"
-                ),
+        if in_s1prime:
+            report.checks.append(
+                CheckResult(
+                    "commutators_with_P0", f"[P[0], {z_label}] = 1", commutes
+                )
             )
-        )
+        else:
+            report.checks.append(
+                CheckResult(
+                    "commutators_with_P0",
+                    f"[P[0], {z_label}] = 1",
+                    commutes,
+                    asserted=False,
+                    note=(
+                        "observed non-commutation, as the defining relations "
+                        "predict (P[j] and X[d,i] commute only for i > j+1); "
+                        "recorded as data"
+                    ),
+                )
+            )
     return report

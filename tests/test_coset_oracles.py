@@ -213,6 +213,11 @@ def test_cylinder_search_makes_the_same_affinity_tests(n):
         assert new.call_count == old.call_count
 
 
+def test_cylinder_search_rejects_negative_depth():
+    with pytest.raises(ValueError, match="depth must be >= 0"):
+        failing_cylinders(letters(1)[0], -1)
+
+
 @pytest.mark.parametrize("n, depth", [(2, 6), (3, 3)])
 def test_failing_rects_match_brute_force(n, depth):
     """The cylinder levels hold exactly the rectangles the per-rectangle
