@@ -46,6 +46,7 @@ from nvcalc.element_algebra import (
     validate,
 )
 from nvcalc.ends_cocycle import (
+    cocycle_counts,
     f_P_probe,
     properness_bound_check,
     sym_diff_truncated,
@@ -180,7 +181,7 @@ def _run(args: argparse.Namespace) -> tuple[dict[str, Any], bool]:
     if cmd == "probe":
         g = _load_element(args)
         depths = _parse_depths(args.depths)
-        full = sym_diff_truncated(g, max(depths))
+        full = cocycle_counts(g, max(depths))
         surveys = []
         for d in depths:
             entry = full.at_depth(d).to_dict()

@@ -43,12 +43,13 @@ finite generating set to compare piece counts against a properness bound.
 from __future__ import annotations
 
 import math
+import sys
 from bisect import bisect_right
 from collections import Counter
 from dataclasses import dataclass, field
 from fractions import Fraction
 from itertools import accumulate, chain, product
-from operator import add, attrgetter
+from operator import add, attrgetter, eq
 
 from nvcalc.dyadic_core import (
     Pattern,
@@ -57,15 +58,16 @@ from nvcalc.dyadic_core import (
     RectRelation,
     corner_projections,
     corners,
+    count_rects,
     enumerate_rects,
     rect_Il,
     rect_Ir,
-    rect_intersect,
     rect_relation,
 )
 from nvcalc.element_algebra import (
     AffinePiece,
     Element,
+    _agrees,
     _compose_pieces,
     affine_extension,
     apply,
@@ -90,6 +92,7 @@ __all__ = [
     "TruncatedCocycle",
     "XMember",
     "alpha_points",
+    "cocycle_counts",
     "cocycle_identity_check",
     "complement_partition",
     "coset_eq",
@@ -137,23 +140,20 @@ def _as_coset(c: CosetRep | Element) -> CosetRep:
 
 
 def coset_eq(a: CosetRep | Element, b: CosetRep | Element) -> bool:
-    """Whether two cosets agree, i.e. the representatives agree on I_l."""
+    """Whether two cosets agree, i.e. the representatives agree on I_l: the
+    pieces of a∘b^{-1} on the restrictions' overlaps, from the word walk of
+    ``compose``, are all trivial (disjoint pairs yield no piece)."""
     a, b = _as_coset(a), _as_coset(b)
     if a.n != b.n:
         raise ValueError(f"dimension mismatch: {a.n} vs {b.n}")
-    for p in a.restriction:
-        for q in b.restriction:
-            m = rect_intersect(p.dom, q.dom)
-            if m is None:
-                continue
-            if p.image_of(m) != q.image_of(m):
-                return False
-    return True
+    return _agrees(Element(a.n, a.restriction), b.restriction)
 
 
 def coset_translate(g: Element, c: CosetRep | Element) -> CosetRep:
     """The translated coset g . kH = (gk)H, from (gk)|I_l = g o (k|I_l)."""
     c = _as_coset(c)
+    if g.dim != c.n:
+        raise ValueError(f"dimension mismatch: {g.dim} vs {c.n}")
     return CosetRep(c.n, merge_pieces(_compose_pieces(g, c.restriction)))
 
 
@@ -271,7 +271,7 @@ def _level_sizes(
     coordinates has C(e+s-1, s-1) * 2^e members of depth |T| + e."""
     sizes = [0] * (depth + 1)
     for t in cylinders:
-        size, s = sum(map(len, t)), sum(map(lambda w, c: len(w) == c, t, cut))
+        size, s = sum(map(len, t)), sum(map(eq, map(len, t), cut))
         for e in range(depth - size + 1 if s else 1):
             sizes[size + e] += math.comb(e + s - 1, e) << e if s else 1
     return sizes
@@ -345,23 +345,54 @@ class TruncatedCocycle:
         return _truncation(self.element, *sides, self.counts[: d + 1])
 
 
+#: The most members one truncation may list: past it ``sym_diff_truncated``
+#: raises ValueError before expanding any (``X[1,0]``, n = 2, depth 30: 6.4e9).
+MAX_MEMBERS = 2**18
+
+
 def sym_diff_truncated(g: Element, depth: int) -> TruncatedCocycle:
     """Enumerate X Δ gX over rectangles of depth <= ``depth``.
 
     A member of X - gX is a proper rectangle on which g^{-1} is not one
     substitution; a member of gX - X is the g-translate of the coset of a
     proper rectangle on which g is not one substitution.  The whole cube
-    (depth 0) is excluded: it never names a coset in X.
+    (depth 0) is excluded: it never names a coset in X.  Raises ValueError
+    when the closed-form total exceeds ``MAX_MEMBERS``.
     """
-    out_levels, in_levels = (
-        _cylinder_levels(*failing_cylinders(h, depth), depth) for h in (inverse(g), g)
-    )
+    sides = [failing_cylinders(h, depth) for h in (inverse(g), g)]
+    # Each side holds distinct rectangles of depth 1..depth, so only a depth
+    # with more than MAX_MEMBERS / 2 of them needs the total counted first.
+    if 2 * count_rects(g.dim, depth) > MAX_MEMBERS:
+        total = _closed_counts(sides, depth)[-1]
+        if total > MAX_MEMBERS:
+            raise ValueError(
+                f"the truncation at depth {depth} has {total} members, "
+                f"more than {MAX_MEMBERS}"
+            )
+    out_levels, in_levels = (_cylinder_levels(*side, depth) for side in sides)
     return _truncation(
         g,
         tuple(map(XMember, chain.from_iterable(out_levels[1:]))),
         tuple(chain.from_iterable(in_levels[1:])),
         _counts([*map(len, out_levels)], [*map(len, in_levels)]),
     )
+
+
+def cocycle_counts(g: Element, depth: int) -> TruncatedCocycle:
+    """``sym_diff_truncated(g, depth)`` with both member lists left empty:
+    the same counts, verdict and norm, in closed form from the cylinders.
+    Raises ValueError when the total is too large for a float norm."""
+    sides = [failing_cylinders(h, depth) for h in (inverse(g), g)]
+    counts = _closed_counts(sides, depth)
+    if counts[-1] > sys.float_info.max:
+        raise ValueError(f"the total at depth {depth} is too large for a float norm")
+    return _truncation(g, (), (), counts)
+
+
+def _closed_counts(sides: list, depth: int) -> tuple[int, ...]:
+    """The cumulative counts of X Δ gX from the cylinders of g^{-1} and of g
+    (X - gX, then gX - X), with no member built."""
+    return _counts(*(_level_sizes(*side, depth) for side in sides))
 
 
 def _counts(out_sizes: list[int], in_sizes: list[int]) -> tuple[int, ...]:

@@ -7,6 +7,8 @@ import pytest
 
 from nvcalc.cli import main
 from nvcalc.element_algebra import MAX_PIECES, element_to_json, random_element
+from nvcalc.ends_cocycle import MAX_MEMBERS, sym_diff_truncated
+from nvcalc.words_generators import eval_word
 
 
 def run(capsys, argv):
@@ -105,6 +107,14 @@ def test_library_value_error_exit_two(capsys, argv):
         (["corollaries", "--n", "1", "--imax", "0"], "i_max must be >= 2"),
         (["corollaries", "--n", "2", "--imax", "1"], "i_max must be >= 2"),
         (["random", "--n", "0"], "dimension must be >= 1"),
+        (
+            ["probe", "--n", "2", "--word", "Pb[0]", "--depths", "1100"],
+            "the total at depth 1100 is too large for a float norm",
+        ),
+        (
+            ["cocycle", "--n", "2", "--word", "X[1,0]", "--depth", "30"],
+            f"has 6442450938 members, more than {MAX_MEMBERS}",
+        ),
     ],
     ids=[
         "properness-ball",
@@ -112,11 +122,15 @@ def test_library_value_error_exit_two(capsys, argv):
         "corollaries-imax0",
         "corollaries-imax1",
         "random-n",
+        "probe-depth",
+        "cocycle-depth",
     ],
 )
 def test_boundary_inputs_exit_two(capsys, argv, message):
     """Inputs that once gave a silent wrong answer (the radius-0 ball, a
-    suite without its X_conjugation section) or an internal error."""
+    suite without its X_conjugation section) or an internal error, and
+    inputs past a size limit (a total too large for a float norm, a
+    6.4e9-member list)."""
     code, out, err = run(capsys, argv)
     assert code == 2
     assert out == ""
@@ -201,6 +215,23 @@ def test_probe_depth_ranges(capsys):
     assert all(s["verdict"] == "GROWING" for s in surveys)
     assert all(s["open_finding"] for s in surveys)
     assert all("out_side" not in s for s in surveys)
+
+
+@pytest.mark.parametrize("n, word", [(2, "Pb[0]"), (2, "X[1,0]"), (1, "X[1,0] P[0]")])
+def test_deep_probe_agrees_with_member_lists(capsys, n, word):
+    """A probe to depth 40 (2^40-scale totals, counted in closed form) reads
+    at depths 0..8 what the expanded truncation's ``at_depth`` reads."""
+    code, payload, _ = run_json(
+        capsys, ["probe", "--n", str(n), "--word", word, "--depths", "0..40"]
+    )
+    assert code == 0
+    surveys = payload["report"]["surveys"]
+    assert [s["depth"] for s in surveys] == list(range(41))
+    full = sym_diff_truncated(eval_word(word, n), 8)
+    for d in range(9):
+        expected = full.at_depth(d).to_dict()
+        del expected["out_side"], expected["in_side"]
+        assert surveys[d] == expected
 
 
 def test_probe_single_depth_and_errors(capsys):

@@ -18,7 +18,7 @@ import pytest
 from hypothesis import given, settings
 from hypothesis import strategies as st
 
-from nvcalc.dyadic_core import Rect, enumerate_rects, halve, rect_Il
+from nvcalc.dyadic_core import Rect, count_rects, enumerate_rects, halve, rect_Il
 from nvcalc.element_algebra import (
     AffinePiece,
     affine_extension,
@@ -235,3 +235,5 @@ def test_failing_rects_match_brute_force(n, depth):
         assert list(t.counts) == [
             sum(1 for r in members if r.depth <= d) for d in range(depth + 1)
         ]
+        # the bound under which sym_diff_truncated skips the budget count
+        assert t.total <= 2 * count_rects(n, depth)

@@ -3,6 +3,7 @@
 import json
 import math
 from fractions import Fraction
+from unittest import mock
 
 import pytest
 
@@ -25,10 +26,12 @@ from nvcalc.element_algebra import (
     simplify,
     validate,
 )
+from nvcalc import ends_cocycle
 from nvcalc.ends_cocycle import (
     CosetRep,
     XMember,
     alpha_points,
+    cocycle_counts,
     cocycle_identity_check,
     complement_partition,
     coset_eq,
@@ -215,6 +218,20 @@ def test_at_depth_matches_a_fresh_search(word, n, D):
         assert full.at_depth(d) == sym_diff_truncated(g, d)
     with pytest.raises(ValueError):
         full.at_depth(D + 1)
+
+
+def test_member_budget_trips_before_any_member_is_built(monkeypatch):
+    g = eval_word("C[2,0]", 2)
+    t = sym_diff_truncated(g, 5)
+    monkeypatch.setattr(ends_cocycle, "MAX_MEMBERS", t.total)
+    assert sym_diff_truncated(g, 5) == t
+    monkeypatch.setattr(ends_cocycle, "MAX_MEMBERS", t.total - 1)
+    with mock.patch("nvcalc.ends_cocycle._cylinder_levels") as expand:
+        with pytest.raises(ValueError, match=f"has {t.total} members, more than"):
+            sym_diff_truncated(g, 5)
+    assert not expand.called
+    counts = cocycle_counts(g, 5)
+    assert (counts.counts, counts.verdict, counts.norm) == (t.counts, t.verdict, t.norm)
 
 
 def test_sym_diff_identity_is_empty():

@@ -1,9 +1,12 @@
 """The indexed element kernel against the plain scans it replaced.
 
-The reference functions below are the all-pairs ``compose``, the linear-scan
-``restrict`` and ``apply``, the restart-after-every-merge ``merge_pieces`` and
-the one-compose-per-unit ``eval_word``.  The fast paths must give the same
-piece tables (``==``, not just ``equals``) and the same points.
+The reference functions below are the all-pairs ``compose`` through
+``rect_intersect`` and ``image_of``, the linear-scan ``restrict`` and
+``apply``, the rectangle-level ``coset_eq``, the restart-after-every-merge
+``merge_pieces`` and the one-compose-per-unit ``eval_word``.  The fast paths
+(the word-tuple kernel, with or without the coordinate-1 index) must give the
+same piece tables (``==``, not just ``equals``), the same points and the same
+verdicts.
 """
 
 import random
@@ -14,8 +17,10 @@ from hypothesis import strategies as st
 
 from nvcalc.dyadic_core import Rect, contains_point, rect_intersect
 from nvcalc.element_algebra import (
+    _SCAN_PIECES,
     AffinePiece,
     Element,
+    _compose_pieces,
     _merge_partner,
     affine_extension,
     apply,
@@ -28,20 +33,41 @@ from nvcalc.element_algebra import (
     random_element,
     restrict,
 )
-from nvcalc.words_generators import eval_word, make_C, make_pi, make_pibar, make_X
+from nvcalc.ends_cocycle import CosetRep, coset_eq, coset_of, embed_in_half
+from nvcalc.words_generators import (
+    eval_word,
+    gen_set_S,
+    make_C,
+    make_pi,
+    make_pibar,
+    make_X,
+)
 
 # ---------------------------------------------------------------------------
 # reference implementations
 
 
-def compose_all_pairs(g, h):
-    pieces = []
-    for ph in h.pieces:
+def compose_pieces_all_pairs(g, pieces):
+    out = []
+    for ph in pieces:
         for pg in g.pieces:
             m = rect_intersect(ph.ran, pg.dom)
             if m is not None:
-                pieces.append(AffinePiece(ph.inverted().image_of(m), pg.image_of(m)))
-    return Element.from_pieces(pieces)
+                out.append(AffinePiece(ph.inverted().image_of(m), pg.image_of(m)))
+    return out
+
+
+def compose_all_pairs(g, h):
+    return Element.from_pieces(compose_pieces_all_pairs(g, h.pieces))
+
+
+def coset_eq_rects(a, b):
+    for p in a.restriction:
+        for q in b.restriction:
+            m = rect_intersect(p.dom, q.dom)
+            if m is not None and p.image_of(m) != q.image_of(m):
+                return False
+    return True
 
 
 def restrict_linear(g, r):
@@ -122,6 +148,9 @@ elements = st.tuples(
     st.integers(0, 10**6), st.integers(1, 3), st.integers(1, 24), st.integers(0, 24)
 )
 
+#: Table sizes on both sides of the small-table cut-off of ``_candidates``.
+around_cut_off = st.integers(max(1, _SCAN_PIECES - 2), _SCAN_PIECES + 3)
+
 
 def build(seed, n, size, expansions):
     rng = random.Random(seed)
@@ -140,6 +169,87 @@ def test_compose_matches_all_pairs(spec):
     h = refined(random_element(g.dim, rng.randint(1, 24), rng), rng, rng.randint(0, 24))
     for a, b in ((g, h), (h, g), (fine, h), (h, fine), (fine, inverse(fine))):
         assert compose(a, b) == compose_all_pairs(a, b)
+
+
+@given(st.integers(0, 10**6), st.integers(1, 3), around_cut_off, around_cut_off)
+@settings(max_examples=120, deadline=None)
+def test_compose_pieces_match_all_pairs_around_the_cut_off(seed, n, size_g, size_h):
+    """Whole tables and partial piece lists (in any order), composed with
+    tables just below, at and just above ``_SCAN_PIECES`` pieces."""
+    rng = random.Random(seed)
+    g = random_element(n, size_g, rng)
+    h = random_element(n, size_h, rng)
+    assert len(g.pieces) == size_g
+    part = rng.sample(h.pieces, rng.randint(1, size_h))
+    for a, pieces in ((g, h.pieces), (h, g.pieces), (g, part), (h, part)):
+        assert sorted(_compose_pieces(a, pieces)) == sorted(
+            compose_pieces_all_pairs(a, pieces)
+        )
+
+
+@given(st.integers(0, 10**6), st.integers(1, 3), around_cut_off)
+@settings(max_examples=120, deadline=None)
+def test_coset_eq_matches_the_rectangle_form(seed, n, size):
+    """Equal cosets with different tables (k and k h, h fixing I_l, and a
+    refined k), unequal ones, and letters of S and their inverses."""
+    rng = random.Random(seed)
+    k = random_element(n, size, rng)
+    others = [
+        compose(k, embed_in_half(random_element(n, rng.randint(1, 6), rng), "right")),
+        refined(k, rng, rng.randint(1, 12)),
+        random_element(n, rng.randint(1, 2 * _SCAN_PIECES), rng),
+        rng.choice([e for _, g in gen_set_S(n) for e in (g, inverse(g))]),
+    ]
+    a = coset_of(k)
+    for other in others:
+        b = coset_of(other)
+        # unmerged restrictions too: tables that differ, cosets that may not
+        b_raw = CosetRep(n, restrict(other, Rect(("0",) + ("",) * (n - 1))))
+        for x, y in ((a, b), (b, a), (a, b_raw), (b_raw, a)):
+            assert coset_eq(x, y) == coset_eq_rects(x, y)
+    assert coset_eq(a, coset_of(others[0])) and coset_eq(a, coset_of(others[1]))
+
+
+def test_coset_eq_skips_pairs_disjoint_in_a_later_coordinate():
+    """Domains ("0", "0") and ("0", "1") share coordinate 1 but not 2: their
+    differing coordinate-1 images must not make the cosets unequal."""
+    a = CosetRep(
+        2,
+        (
+            AffinePiece(Rect(("0", "0")), Rect(("10", "0"))),
+            AffinePiece(Rect(("0", "1")), Rect(("11", "1"))),
+        ),
+    )
+    b = CosetRep(
+        2,
+        (
+            AffinePiece(Rect(("0", "00")), Rect(("10", "00"))),
+            AffinePiece(Rect(("0", "01")), Rect(("10", "01"))),
+            AffinePiece(Rect(("0", "1")), Rect(("11", "1"))),
+        ),
+    )
+    assert coset_eq_rects(a, b) and coset_eq(a, b) and coset_eq(b, a)
+    c = CosetRep(2, a.restriction[:1] + (AffinePiece(Rect(("0", "1")), Rect(("10", "1"))),))
+    assert not coset_eq_rects(a, c) and not coset_eq(a, c)
+
+
+@given(elements)
+@settings(max_examples=60, deadline=None)
+def test_hash_is_the_table_hash(spec):
+    """Equal tables built apart hash equal, and the hash is the dataclass
+    hash of (dim, pieces), computed once."""
+    rng, g, fine = build(*spec)
+    h = random_element(g.dim, rng.randint(1, 24), rng)
+    for e, again in (
+        (compose(fine, h), Element(g.dim, tuple(compose_all_pairs(fine, h).pieces))),
+        (g, Element.from_pieces(reversed(g.pieces))),
+        (inverse(fine), Element.from_pieces(p.inverted() for p in fine.pieces)),
+    ):
+        assert e == again and e is not again
+        assert hash(e) == hash(Element(e.dim, e.pieces)) == hash(again)
+        assert hash(e) == hash((e.dim, e.pieces))
+        assert {e: 1}[again] == 1
+    assert "_hash" in g.__dict__
 
 
 @given(elements)
