@@ -32,7 +32,6 @@ from nvcalc.dyadic_core import (  # noqa: F401
     pattern_from_tree,
     rect_Il,
     rect_Ir,
-    rect_relation,
 )
 from nvcalc.element_algebra import (  # noqa: F401
     AffinePiece,

@@ -14,7 +14,6 @@ never in membership tests.  Every value here is immutable.
 
 from __future__ import annotations
 
-import enum
 import itertools
 from dataclasses import dataclass
 from fractions import Fraction
@@ -25,7 +24,6 @@ __all__ = [
     "Point",
     "Rect",
     "Pattern",
-    "RectRelation",
     "SplitLeaf",
     "SplitNode",
     "SplitTree",
@@ -41,7 +39,6 @@ __all__ = [
     "rect_Il",
     "rect_Ir",
     "rect_intersect",
-    "rect_relation",
     "tree_leaves",
     "word_interval",
     "word_value",
@@ -68,16 +65,6 @@ def word_interval(w: str) -> tuple[Fraction, Fraction]:
     """Half-open interval ``[lo, hi)`` encoded by ``w``; the empty word gives [0, 1)."""
     lo = word_value(w)
     return lo, lo + Fraction(1, 2 ** len(w))
-
-
-class RectRelation(enum.Enum):
-    """Containment relation between two rectangles of equal dimension."""
-
-    DISJOINT = "disjoint"
-    A_CONTAINS_B = "a_contains_b"
-    B_CONTAINS_A = "b_contains_a"
-    EQUAL = "equal"
-    PARTIAL_OVERLAP = "partial_overlap"
 
 
 @dataclass(frozen=True, order=True)
@@ -150,40 +137,6 @@ def halve(r: Rect, d: int) -> tuple[Rect, Rect]:
     return lo, hi
 
 
-def _word_relation(a: str, b: str) -> RectRelation:
-    """1-D nesting dichotomy: intervals are equal, nested, or disjoint."""
-    if a == b:
-        return RectRelation.EQUAL
-    if b.startswith(a):
-        return RectRelation.A_CONTAINS_B
-    if a.startswith(b):
-        return RectRelation.B_CONTAINS_A
-    return RectRelation.DISJOINT
-
-
-def rect_relation(a: Rect, b: Rect) -> RectRelation:
-    """Exact containment relation between same-dimension rectangles.
-
-    Partial overlap happens only when the containment direction differs
-    across coordinates; interiors intersect iff no coordinate pair is
-    prefix-incomparable.
-    """
-    if a.dim != b.dim:
-        raise ValueError(f"dimension mismatch: {a.dim} vs {b.dim}")
-    per_coord = [_word_relation(x, y) for x, y in zip(a.words, b.words)]
-    if any(rel is RectRelation.DISJOINT for rel in per_coord):
-        return RectRelation.DISJOINT
-    narrowing = {RectRelation.EQUAL, RectRelation.A_CONTAINS_B}
-    widening = {RectRelation.EQUAL, RectRelation.B_CONTAINS_A}
-    if all(rel is RectRelation.EQUAL for rel in per_coord):
-        return RectRelation.EQUAL
-    if all(rel in narrowing for rel in per_coord):
-        return RectRelation.A_CONTAINS_B
-    if all(rel in widening for rel in per_coord):
-        return RectRelation.B_CONTAINS_A
-    return RectRelation.PARTIAL_OVERLAP
-
-
 def rect_intersect(a: Rect, b: Rect) -> Rect | None:
     """Intersection of two rectangles (a rectangle again, or None if empty)."""
     if a.dim != b.dim:
@@ -226,7 +179,7 @@ def is_partition(rects: Iterable[Rect]) -> bool:
         return False
     for i, a in enumerate(rs):
         for b in rs[i + 1 :]:
-            if rect_relation(a, b) is not RectRelation.DISJOINT:
+            if rect_intersect(a, b) is not None:
                 return False
     return True
 

@@ -53,7 +53,6 @@ from nvcalc.dyadic_core import (
 __all__ = [
     "AffinePiece",
     "Element",
-    "affine_extension",
     "apply",
     "compose",
     "element_depth",
@@ -119,19 +118,6 @@ class AffinePiece:
             lo_v, _ = word_interval(v)
             out.append(lo_v + (x - lo_u) * Fraction(2 ** len(u), 2 ** len(v)))
         return tuple(out)
-
-    def image_of(self, sub: Rect) -> Rect:
-        """Image of a rectangle nested in the domain (a rectangle again)."""
-        words = []
-        for u, v, w in zip(self.dom.words, self.ran.words, sub.words):
-            if not w.startswith(u):
-                raise ValueError(f"{sub} is not nested in domain {self.dom}")
-            words.append(v + w[len(u):])
-        return Rect._trusted(tuple(words))
-
-    def restrict_to(self, sub: Rect) -> "AffinePiece":
-        """The same map, restricted to a rectangle nested in the domain."""
-        return AffinePiece(sub, self.image_of(sub))
 
     def inverted(self) -> "AffinePiece":
         return AffinePiece._trusted(self.ran, self.dom)
@@ -320,40 +306,6 @@ def restrict(g: Element, r: Rect) -> tuple[AffinePiece, ...]:
     return tuple(sorted(out, key=_dom_words))
 
 
-def affine_extension(
-    pieces: Sequence[AffinePiece], r: Rect
-) -> AffinePiece | None:
-    """Single prefix substitution on ``r`` agreeing with ``pieces``, if any.
-
-    ``pieces`` must be affine pieces whose domains are nested in ``r`` and
-    tile it.  If one substitution ``r -> W`` restricts to every piece, it is
-    returned; otherwise None.  The candidate is forced by any single piece:
-    writing the piece's domain as ``r`` extended by a suffix ``s`` per
-    coordinate, its range must be ``W`` extended by the same suffix, so ``W``
-    is recovered by stripping ``s`` — if stripping is impossible, or any
-    piece disagrees with the candidate, no extension exists.
-    """
-    if not pieces:
-        return None
-    first = pieces[0]
-    target = []
-    for rw, u, v in zip(r.words, first.dom.words, first.ran.words):
-        if not u.startswith(rw):
-            raise ValueError("piece domain not nested in the target rectangle")
-        s = u[len(rw):]
-        if s:
-            if not v.endswith(s):
-                return None
-            target.append(v[: len(v) - len(s)])
-        else:
-            target.append(v)
-    candidate = AffinePiece(r, Rect(tuple(target)))
-    for piece in pieces:
-        if candidate.image_of(piece.dom).words != piece.ran.words:
-            return None
-    return candidate
-
-
 def is_affine_on(g: Element, r: Rect) -> AffinePiece | None:
     """The restriction of ``g`` to ``r`` as one substitution, if it is one.
 
@@ -364,7 +316,7 @@ def is_affine_on(g: Element, r: Rect) -> AffinePiece | None:
 
     The target W is read off the words of the candidates meeting ``r``: a
     piece that cuts a word w of ``r`` to w + s must have range word W + s.
-    ``affine_extension(restrict(g, r), r)`` is the test oracle.
+    The test oracle in ``tests/oracles.py`` recovers it from ``restrict(g, r)``.
     """
     if g.dim != r.dim:
         raise ValueError(f"dimension mismatch: {g.dim} vs {r.dim}")

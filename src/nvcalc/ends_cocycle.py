@@ -55,21 +55,20 @@ from nvcalc.dyadic_core import (
     Pattern,
     Point,
     Rect,
-    RectRelation,
+    contains_point,
     corner_projections,
     corners,
     count_rects,
     enumerate_rects,
     rect_Il,
     rect_Ir,
-    rect_relation,
+    rect_intersect,
 )
 from nvcalc.element_algebra import (
     AffinePiece,
     Element,
     _agrees,
     _compose_pieces,
-    affine_extension,
     apply,
     compose,
     equals,
@@ -171,7 +170,7 @@ def in_X(c: CosetRep | Element) -> XMember | None:
     substitution on I_l.
     """
     c = _as_coset(c)
-    ext = affine_extension(c.restriction, rect_Il(c.n))
+    ext = is_affine_on(Element(c.n, c.restriction), rect_Il(c.n))
     return None if ext is None else XMember(ext.ran)
 
 
@@ -546,15 +545,9 @@ class FPProbeResult:
         }
 
 
-def _closure_contains(r: Rect, p: Point, half_open: bool) -> bool:
-    for (lo, hi), x in zip(r.intervals(), p):
-        if half_open:
-            if not lo <= x < hi:
-                return False
-        else:
-            if not lo <= x <= hi:
-                return False
-    return True
+def _closure_contains(r: Rect, p: Point) -> bool:
+    """Closed membership: every coordinate satisfies ``lo <= x <= hi``."""
+    return all(lo <= x <= hi for (lo, hi), x in zip(r.intervals(), p))
 
 
 def f_P_probe(
@@ -565,10 +558,17 @@ def f_P_probe(
     ``corner_mode`` is "closed" (corners may lie on the boundary of a member
     rectangle) or "half_open" (members must contain the corner in the
     half-open sense); it only affects the companion corner-meets member list.
+    Raises ValueError when depth 1..``depth`` holds more than ``MAX_MEMBERS``
+    rectangles, before any is listed.
     """
     if corner_mode not in ("closed", "half_open"):
         raise ValueError(f"unknown corner mode {corner_mode!r}")
     n = g.dim
+    # count_rects(n, D) >= 2^D grows with D, so counting up to the budget's
+    # bit length decides the comparison without a long sum for a huge depth.
+    if count_rects(n, min(depth, MAX_MEMBERS.bit_length())) > MAX_MEMBERS:
+        raise ValueError(f"depth {depth} lists more than {MAX_MEMBERS} rectangles")
+    meets = contains_point if corner_mode == "half_open" else _closure_contains
     pattern = simplify(g).domain_pattern()
     cells = list(pattern)
     corner_set = corners(pattern)
@@ -578,17 +578,9 @@ def f_P_probe(
     members: list[Rect] = []
     corner_members: list[Rect] = []
     for r in enumerate_rects(n, depth):
-        inside_one_cell = any(
-            rect_relation(r, cell)
-            in (RectRelation.EQUAL, RectRelation.B_CONTAINS_A)
-            for cell in cells
-        )
-        if not inside_one_cell:
+        if not any(rect_intersect(r, cell) == r for cell in cells):
             members.append(r)
-        if any(
-            _closure_contains(r, q, corner_mode == "half_open")
-            for q in corner_set
-        ):
+        if any(meets(r, q) for q in corner_set):
             corner_members.append(r)
 
     values: dict[Rect, tuple[Point, ...]] = {}

@@ -28,6 +28,7 @@ from __future__ import annotations
 import re
 from dataclasses import dataclass
 from functools import lru_cache
+from math import isqrt
 from typing import Iterator
 
 from nvcalc.dyadic_core import Rect, rect_Ir
@@ -36,6 +37,7 @@ from nvcalc.element_algebra import (
     Element,
     compose,
     equals,
+    MAX_PIECES,
     identity,
     inverse,
     is_identity_on,
@@ -164,7 +166,15 @@ def _raise_index(
     Prefix ``0^i`` to every coordinate-1 word on both sides and add the fixed
     cells (1), (01), ..., (0^(i-1) 1) so the result is again a self-bijection
     that fixes everything outside the left 2^-i slab.
+
+    The index must lie in 0..256: a generator of index i has i + 2 or i + 3
+    pieces with coordinate-1 words of up to i + 2 letters, so building it
+    costs about i^2, and i^2 may not exceed ``MAX_PIECES`` (2^16).
     """
+    if i < 0:
+        raise ValueError("index must be >= 0")
+    if i * i > MAX_PIECES:
+        raise ValueError(f"index must be <= {isqrt(MAX_PIECES)}, got {i}")
     if i == 0:
         return base
     prefix = "0" * i
@@ -186,8 +196,6 @@ def make_X(d: int, i: int, n: int) -> Element:
     """The splitting generator ``X[d,i]`` acting on the n-cube."""
     if not 1 <= d <= n:
         raise ValueError(f"X coordinate {d} out of range for dimension {n}")
-    if i < 0:
-        raise ValueError("index must be >= 0")
     if d == 1:
         base = [
             ({1: "00"}, {1: "0"}),
@@ -208,8 +216,6 @@ def make_C(d: int, i: int, n: int) -> Element:
     """The coordinate-transfer generator ``C[d,i]`` (needs 2 <= d <= n)."""
     if n < 2 or not 2 <= d <= n:
         raise ValueError(f"C coordinate {d} out of range for dimension {n}")
-    if i < 0:
-        raise ValueError("index must be >= 0")
     base = [
         ({1: "0", d: ""}, {1: "", d: "0"}),
         ({1: "1", d: ""}, {1: "", d: "1"}),
@@ -220,8 +226,6 @@ def make_C(d: int, i: int, n: int) -> Element:
 @lru_cache(maxsize=None)
 def make_pi(i: int, n: int) -> Element:
     """The block-rotation generator ``P[i]``."""
-    if i < 0:
-        raise ValueError("index must be >= 0")
     base = [
         ({1: "00"}, {1: "00"}),
         ({1: "01"}, {1: "1"}),
@@ -233,8 +237,6 @@ def make_pi(i: int, n: int) -> Element:
 @lru_cache(maxsize=None)
 def make_pibar(i: int, n: int) -> Element:
     """The half-swap generator ``Pb[i]``."""
-    if i < 0:
-        raise ValueError("index must be >= 0")
     base = [
         ({1: "0"}, {1: "1"}),
         ({1: "1"}, {1: "0"}),

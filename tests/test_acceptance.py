@@ -73,7 +73,7 @@ def one_dim_not_substitution(g, w):
     Works directly on interval endpoints: clips every piece of g to the
     interval, then demands one global slope, continuity at the junctions, and
     an image that is again a standard dyadic interval.  Shares no code with
-    ``is_affine_on`` / ``affine_extension``.
+    ``is_affine_on`` or the ``affine_extension`` oracle in ``tests/oracles.py``.
     """
     lo, hi = word_interval(w)
     subs = []

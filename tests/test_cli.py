@@ -115,6 +115,11 @@ def test_library_value_error_exit_two(capsys, argv):
             ["cocycle", "--n", "2", "--word", "X[1,0]", "--depth", "30"],
             f"has 6442450938 members, more than {MAX_MEMBERS}",
         ),
+        (["eval", "--n", "1", "--word", "P[99999999]"], "index must be <= 256"),
+        (
+            ["fprobe", "--n", "1", "--word", "X[1,0]", "--depth", "40"],
+            f"depth 40 lists more than {MAX_MEMBERS} rectangles",
+        ),
     ],
     ids=[
         "properness-ball",
@@ -124,13 +129,16 @@ def test_library_value_error_exit_two(capsys, argv):
         "random-n",
         "probe-depth",
         "cocycle-depth",
+        "eval-index",
+        "fprobe-depth",
     ],
 )
 def test_boundary_inputs_exit_two(capsys, argv, message):
     """Inputs that once gave a silent wrong answer (the radius-0 ball, a
     suite without its X_conjugation section) or an internal error, and
     inputs past a size limit (a total too large for a float norm, a
-    6.4e9-member list)."""
+    6.4e9-member list, a generator index of 10^8 whose table costs i^2 to
+    build, a 2^41-rectangle enumeration)."""
     code, out, err = run(capsys, argv)
     assert code == 2
     assert out == ""
@@ -441,6 +449,13 @@ PINNED_OUTPUTS = {
     "properness-n3": (
         ["properness", "--n", "3", "--ball", "1"],
         "1eedb2741a61fbd4678c722897fe1e91a9c0f1e6f5daef000fb8bf1087ebe037",
+    ),
+    "fprobe-n1-half-open": (
+        [
+            "fprobe", "--n", "1", "--word", "P[0]", "--depth", "6",
+            "--corner-mode", "half_open",
+        ],
+        "f54ca2e1f6b42bcc8d16798b5d24e0e96d6033e782d3061a276e6d44032fbcd7",
     ),
 }
 

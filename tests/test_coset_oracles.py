@@ -21,7 +21,6 @@ from hypothesis import strategies as st
 from nvcalc.dyadic_core import Rect, count_rects, enumerate_rects, halve, rect_Il
 from nvcalc.element_algebra import (
     AffinePiece,
-    affine_extension,
     compose,
     inverse,
     is_affine_on,
@@ -39,6 +38,7 @@ from nvcalc.ends_cocycle import (
     sym_diff_truncated,
 )
 from nvcalc.words_generators import gen_set_S
+from oracles import affine_extension
 
 # ---------------------------------------------------------------------------
 # reference implementations

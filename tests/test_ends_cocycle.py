@@ -9,6 +9,7 @@ import pytest
 
 from nvcalc.dyadic_core import (
     Rect,
+    count_rects,
     enumerate_rects,
     is_partition,
     rect_Il,
@@ -319,6 +320,19 @@ def test_f_P_probe_splitter():
     assert r.grid_violations == ()
     assert r.injective
     assert r.values[Rect(("0",))] == ((F(1, 4),),)
+
+
+def test_f_P_probe_rectangle_budget_trips_before_listing(monkeypatch):
+    """The budget boundary is exact, and a huge depth is rejected at once."""
+    budget, unbounded = count_rects(1, 5), f_P_probe(X1, 5)
+    monkeypatch.setattr(ends_cocycle, "MAX_MEMBERS", budget)
+    assert f_P_probe(X1, 5) == unbounded
+    monkeypatch.setattr(ends_cocycle, "MAX_MEMBERS", budget - 1)
+    with mock.patch("nvcalc.ends_cocycle.enumerate_rects") as listing:
+        for depth in (5, 10**9):
+            with pytest.raises(ValueError, match=f"depth {depth} lists more than"):
+                f_P_probe(X1, depth)
+    assert not listing.called
 
 
 def test_f_P_probe_halfswap_two_dimensions_frozen():

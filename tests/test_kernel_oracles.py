@@ -22,7 +22,6 @@ from nvcalc.element_algebra import (
     Element,
     _compose_pieces,
     _merge_partner,
-    affine_extension,
     apply,
     compose,
     expansion,
@@ -42,6 +41,7 @@ from nvcalc.words_generators import (
     make_pibar,
     make_X,
 )
+from oracles import affine_extension, image_of, restrict_to
 
 # ---------------------------------------------------------------------------
 # reference implementations
@@ -53,7 +53,7 @@ def compose_pieces_all_pairs(g, pieces):
         for pg in g.pieces:
             m = rect_intersect(ph.ran, pg.dom)
             if m is not None:
-                out.append(AffinePiece(ph.inverted().image_of(m), pg.image_of(m)))
+                out.append(AffinePiece(image_of(ph.inverted(), m), image_of(pg, m)))
     return out
 
 
@@ -65,7 +65,7 @@ def coset_eq_rects(a, b):
     for p in a.restriction:
         for q in b.restriction:
             m = rect_intersect(p.dom, q.dom)
-            if m is not None and p.image_of(m) != q.image_of(m):
+            if m is not None and image_of(p, m) != image_of(q, m):
                 return False
     return True
 
@@ -75,7 +75,7 @@ def restrict_linear(g, r):
     for piece in g.pieces:
         m = rect_intersect(piece.dom, r)
         if m is not None:
-            out.append(piece.restrict_to(m))
+            out.append(restrict_to(piece, m))
     return tuple(sorted(out, key=lambda p: p.dom.words))
 
 

@@ -170,6 +170,25 @@ def test_generator_range_errors():
         make_pi(-1, 1)
 
 
+def test_generator_index_bound():
+    """Indices 0..256 build (256^2 = MAX_PIECES); 257 and beyond raise, the
+    coordinate check first."""
+    assert len(make_pi(256, 1).pieces) == 259
+    assert len(make_C(2, 256, 2).pieces) == 258
+    for build in (
+        lambda i: make_X(1, i, 1),
+        lambda i: make_C(2, i, 2),
+        lambda i: make_pi(i, 1),
+        lambda i: make_pibar(i, 1),
+    ):
+        with pytest.raises(ValueError, match="index must be <= 256, got 257"):
+            build(257)
+        with pytest.raises(ValueError, match="index must be >= 0"):
+            build(-1)
+    with pytest.raises(ValueError, match="coordinate 2 out of range"):
+        make_X(2, 10**8, 1)
+
+
 # ---------------------------------------------------------------------------
 # word evaluation
 
