@@ -67,7 +67,7 @@ def word_interval(w: str) -> tuple[Fraction, Fraction]:
     return lo, lo + Fraction(1, 2 ** len(w))
 
 
-@dataclass(frozen=True, order=True)
+@dataclass(frozen=True, order=True, slots=True)
 class Rect:
     """A standard dyadic rectangle: one binary word per coordinate.
 
@@ -87,7 +87,7 @@ class Rect:
     def _trusted(cls, words: tuple[str, ...]) -> "Rect":
         """Internal: a rectangle cut from valid ones, built without the check."""
         r = object.__new__(cls)
-        object.__setattr__(r, "words", words)
+        _set_words(r, words)
         return r
 
     @property
@@ -115,6 +115,10 @@ class Rect:
         if n < 1:
             raise ValueError("dimension must be >= 1")
         return Rect(("",) * n)
+
+
+#: The slot's own setter: it bypasses the frozen ``__setattr__``.
+_set_words = Rect.words.__set__
 
 
 def rect_Il(n: int) -> Rect:

@@ -1,9 +1,9 @@
 """Exact group arithmetic for piecewise prefix-substitution bijections.
 
-An *affine piece* is a pair of same-dimension rectangles ``dom -> ran`` and
-denotes the unique orientation-preserving affine bijection between them: in
-each coordinate, replace the prefix ``dom.words[d]`` of the binary expansion
-by ``ran.words[d]`` (slope ``2**(len(dom_d) - len(ran_d))``).
+An *affine piece* ``dom -> ran`` holds two same-length word tuples,
+``dom_words`` and ``ran_words`` (``dom`` and ``ran`` are ``Rect`` views), and
+denotes the affine bijection that, in each coordinate, replaces the prefix
+``dom_words[d]`` by ``ran_words[d]`` (slope ``2**(len(dom_d) - len(ran_d))``).
 
 An *element* is a finite set of affine pieces whose domains form a partition
 of the unit cube and whose ranges form another; such a piece table induces a
@@ -13,7 +13,7 @@ round-trip are provided.  Everything is immutable and exact.
 
 Words are checked at the boundary (the public ``Rect`` and ``AffinePiece``
 constructors, the word parser, JSON loading); rectangles and pieces cut from
-valid ones are built unchecked with ``_trusted``.  One word walk,
+valid ones are built unchecked from words with ``_trusted``.  One word walk,
 ``_compose_pieces``, serves ``compose``, ``restrict``, ``equals`` and coset
 equality.  Candidate pieces come from each element's cached index by
 coordinate-1 domain word, except in tables of at most ``_SCAN_PIECES``
@@ -74,44 +74,57 @@ __all__ = [
 ]
 
 
-@dataclass(frozen=True, order=True)
+@dataclass(frozen=True, order=True, slots=True, init=False)
 class AffinePiece:
-    """One prefix substitution ``dom -> ran`` between same-dimension rectangles."""
+    """One prefix substitution ``dom -> ran`` between same-dimension rectangles,
+    held as their two word tuples; ``dom`` and ``ran`` are ``Rect`` views."""
 
-    dom: Rect
-    ran: Rect
+    dom_words: tuple[str, ...]
+    ran_words: tuple[str, ...]
 
-    def __post_init__(self) -> None:
-        if self.dom.dim != self.ran.dim:
+    def __init__(self, dom: Rect, ran: Rect) -> None:
+        if dom.dim != ran.dim:
             raise ValueError("domain and range must share a dimension")
+        _set_dom(self, dom.words)
+        _set_ran(self, ran.words)
 
     @classmethod
-    def _trusted(cls, dom: Rect, ran: Rect) -> "AffinePiece":
-        """Internal: a piece of same-dimension rectangles, built without the check."""
+    def _trusted(
+        cls, dom_words: tuple[str, ...], ran_words: tuple[str, ...]
+    ) -> "AffinePiece":
+        """Internal: a piece of valid same-length word tuples, unchecked."""
         p = object.__new__(cls)
-        object.__setattr__(p, "dom", dom)
-        object.__setattr__(p, "ran", ran)
+        _set_dom(p, dom_words)
+        _set_ran(p, ran_words)
         return p
 
     @property
+    def dom(self) -> Rect:
+        return Rect._trusted(self.dom_words)
+
+    @property
+    def ran(self) -> Rect:
+        return Rect._trusted(self.ran_words)
+
+    @property
     def dim(self) -> int:
-        return self.dom.dim
+        return len(self.dom_words)
 
     @property
     def is_trivial(self) -> bool:
         """True iff the substitution fixes its domain pointwise."""
-        return self.dom.words == self.ran.words
+        return self.dom_words == self.ran_words
 
     def slope_exponents(self) -> tuple[int, ...]:
         """Per-coordinate slope exponents e_d with slope ``2**e_d``."""
         return tuple(
-            len(u) - len(v) for u, v in zip(self.dom.words, self.ran.words)
+            len(u) - len(v) for u, v in zip(self.dom_words, self.ran_words)
         )
 
     def apply_point(self, p: Point) -> Point:
         """Exact image of a point of the (half-open) domain."""
         out = []
-        for u, v, x in zip(self.dom.words, self.ran.words, p):
+        for u, v, x in zip(self.dom_words, self.ran_words, p):
             lo_u, hi_u = word_interval(u)
             if not (lo_u <= x < hi_u):
                 raise ValueError(f"{x} outside domain word {u!r}")
@@ -120,10 +133,13 @@ class AffinePiece:
         return tuple(out)
 
     def inverted(self) -> "AffinePiece":
-        return AffinePiece._trusted(self.ran, self.dom)
+        return AffinePiece._trusted(self.ran_words, self.dom_words)
 
 
-_dom_words = attrgetter("dom.words")
+#: The slots' own setters: they bypass the frozen ``__setattr__``.
+_set_dom = AffinePiece.dom_words.__set__
+_set_ran = AffinePiece.ran_words.__set__
+_dom_words = attrgetter("dom_words")
 
 
 @dataclass(frozen=True)
@@ -166,7 +182,7 @@ class Element:
         """Pieces by coordinate-1 domain word, the sorted words, the longest."""
         by_word: dict[str, list[AffinePiece]] = {}
         for p in self.pieces:
-            by_word.setdefault(p.dom.words[0], []).append(p)
+            by_word.setdefault(p.dom_words[0], []).append(p)
         return by_word, sorted(by_word), max(map(len, by_word))
 
 
@@ -235,11 +251,12 @@ def _compose_pieces(g: Element, pieces: Iterable[AffinePiece]) -> list[AffinePie
     any coordinate is disjoint.  Callers check dimensions; the words come
     from valid pieces.  Raises ValueError past ``MAX_PIECES``."""
     out = []
+    trusted = AffinePiece._trusted
     for ph in pieces:
-        hd, hr = ph.dom.words, ph.ran.words
+        hd, hr = ph.dom_words, ph.ran_words
         for pg in _candidates(g, hr[0]):
             dom, ran = [], []
-            for a, r, u, b in zip(hd, hr, pg.dom.words, pg.ran.words):
+            for a, r, u, b in zip(hd, hr, pg.dom_words, pg.ran_words):
                 if u.startswith(r):
                     dom.append(a + u[len(r):])
                     ran.append(b)
@@ -249,11 +266,7 @@ def _compose_pieces(g: Element, pieces: Iterable[AffinePiece]) -> list[AffinePie
                 else:
                     break
             else:
-                out.append(
-                    AffinePiece._trusted(
-                        Rect._trusted(tuple(dom)), Rect._trusted(tuple(ran))
-                    )
-                )
+                out.append(trusted(tuple(dom), tuple(ran)))
         if len(out) > MAX_PIECES:
             raise ValueError(f"a composition would exceed {MAX_PIECES} pieces")
     return out
@@ -302,7 +315,7 @@ def restrict(g: Element, r: Rect) -> tuple[AffinePiece, ...]:
     This is g composed with the one piece r -> r (``_compose_pieces``)."""
     if g.dim != r.dim:
         raise ValueError(f"dimension mismatch: {g.dim} vs {r.dim}")
-    out = _compose_pieces(g, (AffinePiece._trusted(r, r),))
+    out = _compose_pieces(g, (AffinePiece._trusted(r.words, r.words),))
     return tuple(sorted(out, key=_dom_words))
 
 
@@ -323,7 +336,7 @@ def is_affine_on(g: Element, r: Rect) -> AffinePiece | None:
     target = None
     for piece in _candidates(g, r.words[0]):
         words, fits = [], True
-        for w, u, v in zip(r.words, piece.dom.words, piece.ran.words):
+        for w, u, v in zip(r.words, piece.dom_words, piece.ran_words):
             if u.startswith(w):  # the piece cuts w to u = w + s: v must be W + s
                 fits = fits and v.endswith(u[len(w):])
                 words.append(v[: len(v) - len(u) + len(w)])
@@ -337,13 +350,22 @@ def is_affine_on(g: Element, r: Rect) -> AffinePiece | None:
             target = words
     if target is None:
         return None
-    return AffinePiece._trusted(r, Rect._trusted(tuple(target)))
+    return AffinePiece._trusted(r.words, tuple(target))
 
 
 def is_identity_on(g: Element, r: Rect) -> bool:
     """True iff ``g`` restricted to ``r`` is the trivial substitution."""
     ext = is_affine_on(g, r)
     return ext is not None and ext.is_trivial
+
+
+def _half_pair(xs: tuple[str, ...], ys: tuple[str, ...]) -> int | None:
+    """The one coordinate where xs, ys differ, if they are its 0- and 1-halves."""
+    diff = [d for d, (x, y) in enumerate(zip(xs, ys)) if x != y]
+    if len(diff) != 1:
+        return None
+    x, y = xs[diff[0]], ys[diff[0]]
+    return diff[0] if x[:-1] == y[:-1] and x[-1:] + y[-1:] == "01" else None
 
 
 def _merge_partner(a: AffinePiece, b: AffinePiece) -> AffinePiece | None:
@@ -354,30 +376,13 @@ def _merge_partner(a: AffinePiece, b: AffinePiece) -> AffinePiece | None:
     halves of a common rectangle *in the same coordinate and order*; the
     merged substitution then restricts back to both inputs.
     """
-    dom_d = ran_d = -1
-    for d in range(a.dim):
-        ua, ub = a.dom.words[d], b.dom.words[d]
-        if ua != ub:
-            if dom_d != -1:
-                return None
-            dom_d = d
-            if not (ua[:-1] == ub[:-1] and ua[-1:] == "0" and ub[-1:] == "1"):
-                return None
-    for d in range(a.dim):
-        va, vb = a.ran.words[d], b.ran.words[d]
-        if va != vb:
-            if ran_d != -1:
-                return None
-            ran_d = d
-            if not (va[:-1] == vb[:-1] and va[-1:] == "0" and vb[-1:] == "1"):
-                return None
-    if dom_d == -1 or dom_d != ran_d:
+    d = _half_pair(a.dom_words, b.dom_words)
+    if d is None or d != _half_pair(a.ran_words, b.ran_words):
         return None
-    d = dom_d
-    u, v = a.dom.words, a.ran.words
-    dom = Rect._trusted(u[:d] + (u[d][:-1],) + u[d + 1:])
-    ran = Rect._trusted(v[:d] + (v[d][:-1],) + v[d + 1:])
-    return AffinePiece(dom, ran)
+    u, v = a.dom_words, a.ran_words
+    return AffinePiece._trusted(
+        u[:d] + (u[d][:-1],) + u[d + 1:], v[:d] + (v[d][:-1],) + v[d + 1:]
+    )
 
 
 def merge_pieces(pieces: Iterable[AffinePiece]) -> tuple[AffinePiece, ...]:
@@ -392,7 +397,7 @@ def merge_pieces(pieces: Iterable[AffinePiece]) -> tuple[AffinePiece, ...]:
     trailing ``1`` made ``0``, newly mergeable: the scan resumes there.
     """
     current: dict[tuple[str, ...], AffinePiece] = {
-        p.dom.words: p for p in pieces
+        p.dom_words: p for p in pieces
     }
     keys = sorted(current)
     i = 0
@@ -410,7 +415,7 @@ def merge_pieces(pieces: Iterable[AffinePiece]) -> tuple[AffinePiece, ...]:
         for k in (key, sibling_key):
             del current[k]
             del keys[bisect_left(keys, k)]
-        new = merged.dom.words
+        new = merged.dom_words
         current[new] = merged
         insort(keys, new)
         ones = [c for c, u in enumerate(new) if u.endswith("1")]
@@ -481,7 +486,7 @@ def element_to_json_dict(g: Element) -> dict:
     return {
         "n": g.dim,
         "pieces": [
-            {"dom": list(p.dom.words), "ran": list(p.ran.words)}
+            {"dom": list(p.dom_words), "ran": list(p.ran_words)}
             for p in g.pieces
         ],
     }

@@ -228,7 +228,7 @@ def failing_cylinders(
     if depth < 0:
         raise ValueError("depth must be >= 0")
     n = g.dim
-    cut = tuple(max(len(p.dom.words[d]) for p in g.pieces) for d in range(n))
+    cut = tuple(max(len(p.dom_words[d]) for p in g.pieces) for d in range(n))
     found, level = [], [("",) * n]
     for _ in range(min(depth, sum(cut)) + 1):
         level = sorted(w for w in level if is_affine_on(g, Rect._trusted(w)) is None)
@@ -359,9 +359,9 @@ def sym_diff_truncated(g: Element, depth: int) -> TruncatedCocycle:
     when the closed-form total exceeds ``MAX_MEMBERS``.
     """
     sides = [failing_cylinders(h, depth) for h in (inverse(g), g)]
-    # Each side holds distinct rectangles of depth 1..depth, so only a depth
-    # with more than MAX_MEMBERS / 2 of them needs the total counted first.
-    if 2 * count_rects(g.dim, depth) > MAX_MEMBERS:
+    # Only a depth with more than MAX_MEMBERS / 2 rectangles (per side) needs
+    # the total counted first; count_rects(n, D) >= 2^D, so stop at bit length.
+    if 2 * count_rects(g.dim, min(depth, MAX_MEMBERS.bit_length())) > MAX_MEMBERS:
         total = _closed_counts(sides, depth)[-1]
         if total > MAX_MEMBERS:
             raise ValueError(
@@ -725,8 +725,8 @@ def embed_in_half(e: Element, side: str) -> Element:
     bit, other = ("0", rect_Ir(e.dim)) if side == "left" else ("1", rect_Il(e.dim))
     pieces = [
         AffinePiece(
-            Rect((bit + p.dom.words[0],) + p.dom.words[1:]),
-            Rect((bit + p.ran.words[0],) + p.ran.words[1:]),
+            Rect((bit + p.dom_words[0],) + p.dom_words[1:]),
+            Rect((bit + p.ran_words[0],) + p.ran_words[1:]),
         )
         for p in e.pieces
     ]

@@ -158,6 +158,15 @@ def _embed_pieces(
     )
 
 
+def _check_index(i: int) -> None:
+    """An index must lie in 0..256: building index i costs about i^2 (i + 2 or
+    more pieces, words of up to i + 2 letters), at most ``MAX_PIECES``."""
+    if i < 0:
+        raise ValueError("index must be >= 0")
+    if i * i > MAX_PIECES:
+        raise ValueError(f"index must be <= {isqrt(MAX_PIECES)}, got {i}")
+
+
 def _raise_index(
     base: list[tuple[dict[int, str], dict[int, str]]], i: int
 ) -> list[tuple[dict[int, str], dict[int, str]]]:
@@ -166,15 +175,8 @@ def _raise_index(
     Prefix ``0^i`` to every coordinate-1 word on both sides and add the fixed
     cells (1), (01), ..., (0^(i-1) 1) so the result is again a self-bijection
     that fixes everything outside the left 2^-i slab.
-
-    The index must lie in 0..256: a generator of index i has i + 2 or i + 3
-    pieces with coordinate-1 words of up to i + 2 letters, so building it
-    costs about i^2, and i^2 may not exceed ``MAX_PIECES`` (2^16).
     """
-    if i < 0:
-        raise ValueError("index must be >= 0")
-    if i * i > MAX_PIECES:
-        raise ValueError(f"index must be <= {isqrt(MAX_PIECES)}, got {i}")
+    _check_index(i)
     if i == 0:
         return base
     prefix = "0" * i
@@ -292,6 +294,7 @@ def relation_suite(n: int, i_max: int = 3) -> CheckReport:
         raise ValueError("dimension must be >= 1")
     if i_max < 3:
         raise ValueError("i_max must be >= 3 to reach every family")
+    _check_index(i_max + (1 if n == 1 else 2))  # X[d,i+1]; C[d,i+2] if n >= 2
     report = CheckReport("relation_suite", n, {"i_max": i_max})
     ds = range(1, n + 1)
     dps = range(2, n + 1)
@@ -349,6 +352,7 @@ def corollary_checks(n: int, i_max: int = 4) -> CheckReport:
         raise ValueError("dimension must be >= 1")
     if i_max < 2:
         raise ValueError("i_max must be >= 2 to reach every family")
+    _check_index(i_max)  # X[d,i_max]
     report = CheckReport("corollary_checks", n, {"i_max": i_max})
 
     def add(section: str, lhs: str, rhs: str) -> None:

@@ -116,6 +116,7 @@ def test_library_value_error_exit_two(capsys, argv):
             f"has 6442450938 members, more than {MAX_MEMBERS}",
         ),
         (["eval", "--n", "1", "--word", "P[99999999]"], "index must be <= 256"),
+        (["relations", "--n", "1", "--imax", "100000"], "index must be <= 256"),
         (
             ["fprobe", "--n", "1", "--word", "X[1,0]", "--depth", "40"],
             f"depth 40 lists more than {MAX_MEMBERS} rectangles",
@@ -130,6 +131,7 @@ def test_library_value_error_exit_two(capsys, argv):
         "probe-depth",
         "cocycle-depth",
         "eval-index",
+        "relations-index",
         "fprobe-depth",
     ],
 )
@@ -138,7 +140,8 @@ def test_boundary_inputs_exit_two(capsys, argv, message):
     suite without its X_conjugation section) or an internal error, and
     inputs past a size limit (a total too large for a float norm, a
     6.4e9-member list, a generator index of 10^8 whose table costs i^2 to
-    build, a 2^41-rectangle enumeration)."""
+    build, a relation suite reaching index 100001, rejected before its first
+    identity, a 2^41-rectangle enumeration)."""
     code, out, err = run(capsys, argv)
     assert code == 2
     assert out == ""

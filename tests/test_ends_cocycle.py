@@ -235,6 +235,19 @@ def test_member_budget_trips_before_any_member_is_built(monkeypatch):
     assert (counts.counts, counts.verdict, counts.norm) == (t.counts, t.verdict, t.norm)
 
 
+def test_member_budget_counts_rectangles_only_to_its_bit_length(monkeypatch):
+    """``count_rects(n, D) >= 2^D``, so the budget gate never sums past
+    ``MAX_MEMBERS.bit_length()`` depths, however deep the truncation."""
+    depths, count = [], ends_cocycle.count_rects
+    monkeypatch.setattr(
+        ends_cocycle, "count_rects", lambda n, D: depths.append(D) or count(n, D)
+    )
+    g = eval_word("X[1,0]", 1)
+    t = sym_diff_truncated(g, 5000)
+    assert depths and max(depths) <= ends_cocycle.MAX_MEMBERS.bit_length()
+    assert t.total == sym_diff_truncated(g, 10).total and t.stable_depth is not None
+
+
 def test_sym_diff_identity_is_empty():
     t = sym_diff_truncated(identity(1), 5)
     assert t.total == 0 and t.verdict == "STABLE(0)"

@@ -9,9 +9,11 @@ same piece tables (``==``, not just ``equals``), the same points and the same
 verdicts.
 """
 
+import json
 import random
 from fractions import Fraction
 
+import pytest
 from hypothesis import given, settings
 from hypothesis import strategies as st
 
@@ -21,9 +23,12 @@ from nvcalc.element_algebra import (
     AffinePiece,
     Element,
     _compose_pieces,
+    _dom_words,
     _merge_partner,
     apply,
     compose,
+    element_from_json,
+    element_to_json,
     expansion,
     identity,
     inverse,
@@ -250,6 +255,41 @@ def test_hash_is_the_table_hash(spec):
         assert hash(e) == hash((e.dim, e.pieces))
         assert {e: 1}[again] == 1
     assert "_hash" in g.__dict__
+
+
+@given(elements)
+@settings(max_examples=60, deadline=None)
+def test_word_tuple_pieces_match_the_rectangle_form(spec):
+    """A piece is its two word tuples.  ``_trusted(words)`` and the public
+    ``AffinePiece(Rect, Rect)`` build equal pieces with one hash and one sort
+    position; ``dom`` and ``ran`` are ``Rect`` views of the words; pieces
+    order as the (dom, ran) rectangle pairs did, and tables as by
+    ``dom.words``; no instance keeps a ``__dict__``; the JSON text names
+    each piece's ``dom.words`` and ``ran.words`` and reads back bit for bit."""
+    rng, g, fine = build(*spec)
+    pieces = list(fine.pieces) + [p.inverted() for p in g.pieces]
+    rng.shuffle(pieces)
+    for p in pieces:
+        public = AffinePiece(Rect(p.dom.words), Rect(p.ran.words))
+        trusted = AffinePiece._trusted(p.dom_words, p.ran_words)
+        assert trusted == public == p and hash(trusted) == hash(public)
+        assert sorted([public, *pieces]).index(public) == sorted(pieces).index(p)
+        assert type(p.dom) is type(p.ran) is Rect
+        assert (p.dom, p.ran) == (Rect(p.dom_words), Rect(p.ran_words))
+        assert not hasattr(p, "__dict__") and not hasattr(p.dom, "__dict__")
+        with pytest.raises(AttributeError):
+            p.dom_words = p.ran_words
+    assert sorted(pieces) == sorted(pieces, key=lambda p: (p.dom, p.ran))
+    by_dom = sorted(pieces, key=lambda p: p.dom.words)
+    assert sorted(pieces, key=_dom_words) == by_dom
+    assert Element.from_pieces(pieces).pieces == tuple(by_dom)
+    for e in (fine, inverse(g)):
+        text = element_to_json(e)
+        assert json.loads(text)["pieces"] == [
+            {"dom": list(p.dom.words), "ran": list(p.ran.words)} for p in e.pieces
+        ]
+        back = element_from_json(text)
+        assert back == e and element_to_json(back) == text
 
 
 @given(elements)

@@ -1,5 +1,6 @@
 """Unit tests for the generator families, word language, and check suites."""
 
+import re
 from fractions import Fraction
 
 import pytest
@@ -257,6 +258,41 @@ def test_relation_suite_argument_errors():
         relation_suite(0, 3)
     with pytest.raises(ValueError):
         relation_suite(1, 2)
+
+
+class _Evaluated(Exception):
+    """A suite got past its index check to its first identity."""
+
+
+@pytest.mark.parametrize(
+    "suite, n, top",
+    [(relation_suite, 1, 255), (relation_suite, 2, 254), (corollary_checks, 1, 256)],
+    ids=["relations-n1", "relations-n2", "corollaries"],
+)
+def test_suite_index_bound_is_checked_before_any_identity(monkeypatch, suite, n, top):
+    """The largest index a suite builds is i_max + 1 for the relations at
+    n = 1, i_max + 2 at n >= 2 (``C[d,i+2]``) and i_max for the corollaries
+    (from i_max = 5 on).  It gets the generators' bound (256) before any
+    word is evaluated: the top i_max starts evaluating, one above it raises."""
+    import nvcalc.words_generators as wg
+
+    calls = []
+    spy = lambda lhs, rhs, n: calls.append(lhs + rhs) or True  # noqa: E731
+    monkeypatch.setattr(wg, "_words_equal", spy)
+    assert suite(n, 6).all_pass
+    top_index = max(int(i) for c in calls for i in re.findall(r"(\d+)\]", c))
+    assert top_index == 6 + 256 - top
+
+    def first(lhs, rhs, n):
+        raise _Evaluated
+
+    monkeypatch.setattr(wg, "_words_equal", first)
+    with pytest.raises(_Evaluated):
+        suite(n, top)
+    for i_max in (top + 1, 100000):
+        message = f"index must be <= 256, got {i_max + 256 - top}"
+        with pytest.raises(ValueError, match=message):
+            suite(n, i_max)
 
 
 def test_relation_suite_catches_corrupted_splitter(monkeypatch):
