@@ -399,6 +399,8 @@ def merge_pieces(pieces: Iterable[AffinePiece]) -> tuple[AffinePiece, ...]:
     current: dict[tuple[str, ...], AffinePiece] = {
         p.dom_words: p for p in pieces
     }
+    if len(current) < 2:
+        return tuple(current.values())
     keys = sorted(current)
     i = 0
     while i < len(keys):
@@ -449,9 +451,8 @@ def expansion(g: Element, piece_index: int, d: int) -> Element:
 
 def element_depth(g: Element) -> int:
     """Max total depth over the reduced piece table (domains and ranges)."""
-    return max(
-        max(p.dom.depth, p.ran.depth) for p in simplify(g).pieces
-    )
+    pieces = simplify(g).pieces
+    return max(len("".join(w)) for p in pieces for w in (p.dom_words, p.ran_words))
 
 
 def _random_tree(rng: random.Random, leaves: int, n: int) -> SplitTree:

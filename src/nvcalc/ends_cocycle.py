@@ -48,7 +48,8 @@ from bisect import bisect_right
 from collections import Counter
 from dataclasses import dataclass, field
 from fractions import Fraction
-from itertools import accumulate, chain, product
+from functools import cache
+from itertools import accumulate, chain
 from operator import add, attrgetter, eq
 
 from nvcalc.dyadic_core import (
@@ -139,13 +140,15 @@ def _as_coset(c: CosetRep | Element) -> CosetRep:
 
 
 def coset_eq(a: CosetRep | Element, b: CosetRep | Element) -> bool:
-    """Whether two cosets agree, i.e. the representatives agree on I_l: the
-    pieces of a∘b^{-1} on the restrictions' overlaps, from the word walk of
-    ``compose``, are all trivial (disjoint pairs yield no piece)."""
+    """Whether two cosets agree, i.e. the representatives agree on I_l:
+    identical restriction tables at once, else (tables differ when unmerged,
+    or merged differently in n >= 2) the pieces of a∘b^{-1} on the tables'
+    overlaps, from ``compose``'s word walk, are all trivial."""
     a, b = _as_coset(a), _as_coset(b)
     if a.n != b.n:
         raise ValueError(f"dimension mismatch: {a.n} vs {b.n}")
-    return _agrees(Element(a.n, a.restriction), b.restriction)
+    same = a.restriction == b.restriction
+    return same or _agrees(Element(a.n, a.restriction), b.restriction)
 
 
 def coset_translate(g: Element, c: CosetRep | Element) -> CosetRep:
@@ -246,21 +249,26 @@ def _cylinder_levels(
     cut: tuple[int, ...], cylinders: list[tuple[str, ...]], depth: int
 ) -> list[list[Rect]]:
     """The rectangles of depth <= ``depth`` cut to one of ``cylinders``, one
-    sorted list per depth: T with each saturated coordinate extended."""
-    levels: list[list[Rect]] = [[] for _ in range(depth + 1)]
+    sorted list per depth: T with each saturated coordinate extended by the
+    j-letter words ``tails[j]``, built once per call up to j = depth - |T|."""
+    levels: list[list[tuple[str, ...]]] = [[] for _ in range(depth + 1)]
+    tails = [[""]]
     for t in cylinders:
-        members = [(sum(map(len, t)), t)]
+        size = sum(map(len, t))
+        members = [(size, t)]
         for k, c in enumerate(cut):
             if len(t[k]) == c:
+                while len(tails) <= depth - size:
+                    tails.append([x + b for x in tails[-1] for b in "01"])
                 members = [
-                    (m + j, w[:k] + (w[k] + "".join(x),) + w[k + 1 :])
+                    (m + j, w[:k] + (w[k] + x,) + w[k + 1 :])
                     for m, w in members
                     for j in range(depth - m + 1)
-                    for x in product("01", repeat=j)
+                    for x in tails[j]
                 ]
         for m, w in members:
-            levels[m].append(Rect._trusted(w))
-    return [sorted(level, key=attrgetter("words")) for level in levels]
+            levels[m].append(w)
+    return [list(map(Rect._trusted, sorted(level))) for level in levels]
 
 
 def _level_sizes(
@@ -436,7 +444,9 @@ def cocycle_identity_check(
     translates by the single composed element (gh)^{-1}, the right stepwise
     by g^{-1} and then h^{-1}, so the two follow genuinely different paths
     through the group arithmetic.  Test cosets: every proper rectangle of
-    depth <= ``depth`` plus its g- and gh-translates.
+    depth <= ``depth`` plus its g- and gh-translates.  Translations are
+    memoised per call, by (element, coset): both paths are still computed,
+    and nothing outlives the call.
     """
     if g.dim != h.dim:
         raise ValueError(f"dimension mismatch: {g.dim} vs {h.dim}")
@@ -446,21 +456,22 @@ def cocycle_identity_check(
     g_inv = inverse(g)
     h_inv = inverse(h)
     il = rect_Il(n)
+    translate = cache(coset_translate)
     report = CheckReport("cocycle_identity", n, {"depth": depth})
     for r in enumerate_rects(n, depth):
         base = CosetRep(n, (AffinePiece(il, r),))  # the X-coset of r
         name = ",".join(w or "e" for w in r.words)
         for label, c in (
             (f"R[{name}]", base),
-            (f"g.R[{name}]", coset_translate(g, base)),
-            (f"gh.R[{name}]", coset_translate(gh, base)),
+            (f"g.R[{name}]", translate(g, base)),
+            (f"gh.R[{name}]", translate(gh, base)),
         ):
-            stepwise = coset_translate(h_inv, coset_translate(g_inv, c))
+            stepwise = translate(h_inv, translate(g_inv, c))
             report.checks.append(
                 CheckResult(
                     "cocycle_identity",
                     f"pi_gh = pi_g + g.pi_h at {label}",
-                    coset_eq(coset_translate(gh_inv, c), stepwise),
+                    coset_eq(translate(gh_inv, c), stepwise),
                 )
             )
     return report
@@ -675,7 +686,8 @@ def properness_bound_check(
     sizes: dict[Element, list[int]] = {}  # the ball holds g^{-1}: count it once
     for label, g in elements:  # g is reduced: its depth and size are final
         pieces, g_inv = len(g.pieces), inverse(g)
-        table_depth = max(max(p.dom.depth, p.ran.depth) for p in g.pieces)
+        words = (w for p in g.pieces for w in (p.dom_words, p.ran_words))
+        table_depth = max(map(len, map("".join, words)))
         d = depth if depth is not None else table_depth + 1  # also g^{-1}'s
         for h in (g_inv, g):
             if h not in sizes:

@@ -158,13 +158,14 @@ def _embed_pieces(
     )
 
 
-def _check_index(i: int) -> None:
+def _check_index(i: int, note: str = "") -> None:
     """An index must lie in 0..256: building index i costs about i^2 (i + 2 or
-    more pieces, words of up to i + 2 letters), at most ``MAX_PIECES``."""
+    more pieces, words of up to i + 2 letters), at most ``MAX_PIECES``.
+    ``note`` ends the message for an index past that bound."""
     if i < 0:
         raise ValueError("index must be >= 0")
     if i * i > MAX_PIECES:
-        raise ValueError(f"index must be <= {isqrt(MAX_PIECES)}, got {i}")
+        raise ValueError(f"index must be <= {isqrt(MAX_PIECES)}, got {i}{note}")
 
 
 def _raise_index(
@@ -294,7 +295,9 @@ def relation_suite(n: int, i_max: int = 3) -> CheckReport:
         raise ValueError("dimension must be >= 1")
     if i_max < 3:
         raise ValueError("i_max must be >= 3 to reach every family")
-    _check_index(i_max + (1 if n == 1 else 2))  # X[d,i+1]; C[d,i+2] if n >= 2
+    extra = 1 if n == 1 else 2  # X[d,i+1]; C[d,i+2] if n >= 2
+    note = f" (i_max must be <= {isqrt(MAX_PIECES) - extra} in dimension {n})"
+    _check_index(i_max + extra, note)
     report = CheckReport("relation_suite", n, {"i_max": i_max})
     ds = range(1, n + 1)
     dps = range(2, n + 1)
@@ -352,7 +355,8 @@ def corollary_checks(n: int, i_max: int = 4) -> CheckReport:
         raise ValueError("dimension must be >= 1")
     if i_max < 2:
         raise ValueError("i_max must be >= 2 to reach every family")
-    _check_index(i_max)  # X[d,i_max]
+    note = f" (i_max must be <= {isqrt(MAX_PIECES)} in dimension {n})"
+    _check_index(i_max, note)  # X[d,i_max]
     report = CheckReport("corollary_checks", n, {"i_max": i_max})
 
     def add(section: str, lhs: str, rhs: str) -> None:

@@ -6,7 +6,9 @@ functions here answer the same questions the older way, one rectangle at a
 time: the five-way ``rect_relation``, the piece methods ``image_of`` and
 ``restrict_to`` (as functions of the piece), and ``affine_extension``, which
 recovers the one substitution from a restricted piece table.  Tests import
-them to check the word kernel against them.
+them to check the word kernel against them.  ``cocycle_identity_reference``
+is the cocycle identity check with every translation made afresh and every
+coset pair compared by the word walk, the reference for the memoised one.
 """
 
 from __future__ import annotations
@@ -14,8 +16,10 @@ from __future__ import annotations
 import enum
 from typing import Sequence
 
-from nvcalc.dyadic_core import Rect
-from nvcalc.element_algebra import AffinePiece
+from nvcalc.dyadic_core import Rect, enumerate_rects, rect_Il
+from nvcalc.element_algebra import AffinePiece, Element, _agrees, compose, inverse
+from nvcalc.ends_cocycle import CosetRep, coset_translate
+from nvcalc.reporting import CheckReport, CheckResult
 
 
 class RectRelation(enum.Enum):
@@ -109,3 +113,34 @@ def affine_extension(
         if image_of(candidate, piece.dom).words != piece.ran.words:
             return None
     return candidate
+
+
+def cocycle_identity_reference(g: Element, h: Element, depth: int = 2) -> CheckReport:
+    """``cocycle_identity_check`` with no memo: all five translations of
+    every test coset are computed, repeats included, and the two cosets are
+    compared by the word walk alone, never by their tables."""
+    n = g.dim
+    gh = compose(g, h)
+    gh_inv = inverse(gh)
+    g_inv = inverse(g)
+    h_inv = inverse(h)
+    il = rect_Il(n)
+    report = CheckReport("cocycle_identity", n, {"depth": depth})
+    for r in enumerate_rects(n, depth):
+        base = CosetRep(n, (AffinePiece(il, r),))  # the X-coset of r
+        name = ",".join(w or "e" for w in r.words)
+        for label, c in (
+            (f"R[{name}]", base),
+            (f"g.R[{name}]", coset_translate(g, base)),
+            (f"gh.R[{name}]", coset_translate(gh, base)),
+        ):
+            stepwise = coset_translate(h_inv, coset_translate(g_inv, c))
+            composed = Element(n, coset_translate(gh_inv, c).restriction)
+            report.checks.append(
+                CheckResult(
+                    "cocycle_identity",
+                    f"pi_gh = pi_g + g.pi_h at {label}",
+                    _agrees(composed, stepwise.restriction),
+                )
+            )
+    return report

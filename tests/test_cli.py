@@ -118,6 +118,14 @@ def test_library_value_error_exit_two(capsys, argv):
         (["eval", "--n", "1", "--word", "P[99999999]"], "index must be <= 256"),
         (["relations", "--n", "1", "--imax", "100000"], "index must be <= 256"),
         (
+            ["relations", "--n", "2", "--imax", "255"],
+            "error: index must be <= 256, got 257 (i_max must be <= 254 in dimension 2)\n",
+        ),
+        (
+            ["corollaries", "--n", "1", "--imax", "257"],
+            "error: index must be <= 256, got 257 (i_max must be <= 256 in dimension 1)\n",
+        ),
+        (
             ["fprobe", "--n", "1", "--word", "X[1,0]", "--depth", "40"],
             f"depth 40 lists more than {MAX_MEMBERS} rectangles",
         ),
@@ -132,6 +140,8 @@ def test_library_value_error_exit_two(capsys, argv):
         "cocycle-depth",
         "eval-index",
         "relations-index",
+        "relations-imax-n2",
+        "corollaries-imax-n1",
         "fprobe-depth",
     ],
 )
@@ -141,7 +151,8 @@ def test_boundary_inputs_exit_two(capsys, argv, message):
     inputs past a size limit (a total too large for a float norm, a
     6.4e9-member list, a generator index of 10^8 whose table costs i^2 to
     build, a relation suite reaching index 100001, rejected before its first
-    identity, a 2^41-rectangle enumeration)."""
+    identity, a 2^41-rectangle enumeration).  A suite's index error names
+    the largest i_max allowed; those cases give the whole stderr line."""
     code, out, err = run(capsys, argv)
     assert code == 2
     assert out == ""

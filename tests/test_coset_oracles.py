@@ -8,10 +8,13 @@ first with one ``is_affine_on`` test per frontier rectangle, without the
 cylinder lemma, and search them level by level with one test per cut
 rectangle.  The fast paths (coset translation on restrictions, and the
 failing rectangles expanded from ``failing_cylinders``) must give ``==``
-restriction tuples and the same rectangle lists, level by level.
+restriction tuples and the same rectangle lists, level by level.  The
+memoised cocycle identity check must give the checks of the reference that
+translates afresh and compares every coset pair by the word walk.
 """
 
 import random
+from collections import Counter
 from unittest import mock
 
 import pytest
@@ -21,6 +24,7 @@ from hypothesis import strategies as st
 from nvcalc.dyadic_core import Rect, count_rects, enumerate_rects, halve, rect_Il
 from nvcalc.element_algebra import (
     AffinePiece,
+    _agrees,
     compose,
     inverse,
     is_affine_on,
@@ -31,6 +35,8 @@ from nvcalc.ends_cocycle import (
     CosetRep,
     _cylinder_levels,
     _level_sizes,
+    cocycle_identity_check,
+    coset_eq,
     coset_of,
     coset_translate,
     failing_cylinders,
@@ -38,7 +44,7 @@ from nvcalc.ends_cocycle import (
     sym_diff_truncated,
 )
 from nvcalc.words_generators import gen_set_S
-from oracles import affine_extension
+from oracles import affine_extension, cocycle_identity_reference
 
 # ---------------------------------------------------------------------------
 # reference implementations
@@ -125,6 +131,76 @@ def test_coset_translate_matches_full_representative(seed, n, steps):
         k = compose(g, k)
         c = coset_translate(g, c)
         assert c == coset_of(k)
+
+
+IDENTITY_DEPTHS = {1: 3, 2: 3, 3: 2}
+
+
+def triples(report):
+    return [(c.section, c.label, c.holds) for c in report.checks]
+
+
+@given(st.integers(0, 10**6), st.integers(1, 3))
+@settings(max_examples=60, deadline=None)
+def test_cocycle_identity_matches_unmemoised_reference(seed, n):
+    """g and h are each a random element or a letter of S or its inverse."""
+    rng = random.Random(seed)
+    g, h = (
+        random_element(n, rng.randint(1, 24), rng)
+        if rng.random() < 0.5
+        else rng.choice(letters(n))
+        for _ in range(2)
+    )
+    depth = IDENTITY_DEPTHS[n]
+    assert triples(cocycle_identity_check(g, h, depth)) == triples(
+        cocycle_identity_reference(g, h, depth)
+    )
+
+
+@pytest.mark.parametrize("n", [1, 2, 3])
+def test_cocycle_identity_translates_each_pair_once_per_call(monkeypatch, n):
+    """No (element, coset) pair is translated twice within one call, and a
+    second call translates the same pairs again: no memo outlives a call."""
+    import nvcalc.ends_cocycle as ec
+
+    calls = []
+    spy = lambda g, c: calls.append((g, c)) or coset_translate(g, c)  # noqa: E731
+    monkeypatch.setattr(ec, "coset_translate", spy)
+    g, h = letters(n)[0], letters(n)[-1]
+    depth = IDENTITY_DEPTHS[n]
+    first = cocycle_identity_check(g, h, depth)
+    once = Counter(calls)
+    assert max(once.values()) == 1
+    assert len(once) < 11 * len(first.checks) // 3  # 11 per rectangle unshared
+    calls.clear()
+    assert triples(cocycle_identity_check(g, h, depth)) == triples(first)
+    assert Counter(calls) == once
+
+
+def test_coset_eq_compares_tables_before_the_word_walk():
+    """Identical restriction tables never reach ``_agrees``; the same coset
+    with one piece halved on both sides differs as a table and is still
+    equal, through ``_agrees``; a different coset is not equal."""
+    rng = random.Random(5)
+    for n in (1, 2, 3):
+        c = coset_of(random_element(n, 12, rng))
+        p, k = c.restriction[0], n - 1
+        halves = [
+            AffinePiece._trusted(
+                p.dom_words[:k] + (p.dom_words[k] + b,) + p.dom_words[k + 1 :],
+                p.ran_words[:k] + (p.ran_words[k] + b,) + p.ran_words[k + 1 :],
+            )
+            for b in "01"
+        ]
+        halved = CosetRep(n, tuple(sorted([*halves, *c.restriction[1:]])))
+        other = coset_translate(rng.choice(letters(n)), c)
+        with mock.patch("nvcalc.ends_cocycle._agrees", wraps=_agrees) as walk:
+            assert coset_eq(c, CosetRep(n, c.restriction))
+            assert walk.call_count == 0
+            assert halved.restriction != c.restriction
+            assert coset_eq(c, halved) and coset_eq(halved, c)
+            assert walk.call_count == 2
+            assert other == c or not coset_eq(c, other)
 
 
 @pytest.mark.parametrize("n, depth", [(1, 6), (2, 6), (3, 4)])

@@ -288,6 +288,12 @@ def test_merge_pieces_handles_multi_level_merges():
     assert [p.dom.words for p in merged] == [("",)]
 
 
+def test_merge_pieces_of_fewer_than_two_pieces():
+    assert merge_pieces([]) == ()
+    assert merge_pieces([X.pieces[0]]) == (X.pieces[0],)
+    assert merge_pieces(iter(X.pieces[:1])) == (X.pieces[0],)
+
+
 def test_support():
     assert support(identity(2)) == ()
     assert support(PIBAR) == (Rect(("0",)), Rect(("1",)))
@@ -312,6 +318,8 @@ def test_element_depth():
     assert element_depth(X) == 2
     assert element_depth(expansion(X, 0, 1)) == 2  # reduced first
     assert element_depth(compose(X, X)) == 3
+    g = simplify(random_element(2, 12, 3))
+    assert element_depth(g) == max(max(p.dom.depth, p.ran.depth) for p in g.pieces)
 
 
 # ---------------------------------------------------------------------------
