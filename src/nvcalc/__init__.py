@@ -69,7 +69,6 @@ from nvcalc.words_generators import (  # noqa: F401
 from nvcalc.ends_cocycle import (  # noqa: F401
     CosetRep,
     TruncatedCocycle,
-    XMember,
     cocycle_identity_check,
     complement_partition,
     coset_eq,
@@ -78,8 +77,6 @@ from nvcalc.ends_cocycle import (  # noqa: F401
     f_P_probe,
     in_H,
     in_X,
-    in_gX,
-    normalizer_commutation_check,
     properness_bound_check,
     rect_to_coset,
     sym_diff_truncated,

@@ -46,6 +46,7 @@ from nvcalc.element_algebra import (
     validate,
 )
 from nvcalc.ends_cocycle import (
+    MAX_MEMBERS,
     cocycle_counts,
     f_P_probe,
     properness_bound_check,
@@ -83,6 +84,8 @@ def _parse_point(text: str, n: int) -> Point:
 
 
 def _parse_depths(text: str) -> list[int]:
+    """The depths of ``lo..hi`` or of one depth; each survey writes its d + 1
+    counts, so a list writing more than ``MAX_MEMBERS`` is rejected unbuilt."""
     text = text.strip()
     if ".." in text:
         lo_s, _, hi_s = text.partition("..")
@@ -92,14 +95,19 @@ def _parse_depths(text: str) -> list[int]:
             raise UsageError(f"bad depth range {text!r}") from exc
         if lo < 0 or hi < lo:
             raise UsageError(f"bad depth range {text!r}")
-        return list(range(lo, hi + 1))
-    try:
-        d = int(text)
-    except ValueError as exc:
-        raise UsageError(f"bad depth {text!r}") from exc
-    if d < 0:
-        raise UsageError("depth must be >= 0")
-    return [d]
+    else:
+        try:
+            lo = hi = int(text)
+        except ValueError as exc:
+            raise UsageError(f"bad depth {text!r}") from exc
+        if lo < 0:
+            raise UsageError("depth must be >= 0")
+    written = (hi - lo + 1) * (lo + hi + 2) // 2
+    if written > MAX_MEMBERS:
+        raise UsageError(
+            f"depths {text} would write {written} counts, more than {MAX_MEMBERS}"
+        )
+    return list(range(lo, hi + 1))
 
 
 def _load_element(args: argparse.Namespace) -> Element:

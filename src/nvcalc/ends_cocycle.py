@@ -62,7 +62,6 @@ from nvcalc.dyadic_core import (
     count_rects,
     enumerate_rects,
     rect_Il,
-    rect_Ir,
     rect_intersect,
 )
 from nvcalc.element_algebra import (
@@ -70,27 +69,22 @@ from nvcalc.element_algebra import (
     Element,
     _agrees,
     _compose_pieces,
-    apply,
     compose,
-    equals,
     identity,
     inverse,
     is_affine_on,
-    is_identity_on,
     merge_pieces,
-    random_element,
     restrict,
     simplify,
 )
 from nvcalc.reporting import CheckReport, CheckResult
-from nvcalc.words_generators import gen_set_S, make_X
+from nvcalc.words_generators import gen_set_S
 
 __all__ = [
     "CosetRep",
     "FPProbeResult",
     "GridViolation",
     "TruncatedCocycle",
-    "XMember",
     "alpha_points",
     "cocycle_counts",
     "cocycle_identity_check",
@@ -98,13 +92,10 @@ __all__ = [
     "coset_eq",
     "coset_of",
     "coset_translate",
-    "embed_in_half",
     "f_P_probe",
     "failing_cylinders",
     "in_H",
     "in_X",
-    "in_gX",
-    "normalizer_commutation_check",
     "properness_bound_check",
     "rect_to_coset",
     "sym_diff_truncated",
@@ -117,17 +108,12 @@ class CosetRep:
 
     ``restriction`` is the merged piece table of k on I_l.  It determines the
     coset, and it is all a translation needs, since (gk)|I_l = g o (k|I_l).
+    The coset functions below take a ``CosetRep``; ``coset_of`` makes one
+    from an element.
     """
 
     n: int
     restriction: tuple[AffinePiece, ...]
-
-
-@dataclass(frozen=True)
-class XMember:
-    """A coset in the family X, named by the rectangle k(I_l)."""
-
-    rect: Rect
 
 
 def coset_of(k: Element) -> CosetRep:
@@ -135,51 +121,35 @@ def coset_of(k: Element) -> CosetRep:
     return CosetRep(k.dim, merge_pieces(restrict(k, rect_Il(k.dim))))
 
 
-def _as_coset(c: CosetRep | Element) -> CosetRep:
-    return c if isinstance(c, CosetRep) else coset_of(c)
-
-
-def coset_eq(a: CosetRep | Element, b: CosetRep | Element) -> bool:
+def coset_eq(a: CosetRep, b: CosetRep) -> bool:
     """Whether two cosets agree, i.e. the representatives agree on I_l:
     identical restriction tables at once, else (tables differ when unmerged,
     or merged differently in n >= 2) the pieces of a∘b^{-1} on the tables'
     overlaps, from ``compose``'s word walk, are all trivial."""
-    a, b = _as_coset(a), _as_coset(b)
     if a.n != b.n:
         raise ValueError(f"dimension mismatch: {a.n} vs {b.n}")
     same = a.restriction == b.restriction
     return same or _agrees(Element(a.n, a.restriction), b.restriction)
 
 
-def coset_translate(g: Element, c: CosetRep | Element) -> CosetRep:
+def coset_translate(g: Element, c: CosetRep) -> CosetRep:
     """The translated coset g . kH = (gk)H, from (gk)|I_l = g o (k|I_l)."""
-    c = _as_coset(c)
     if g.dim != c.n:
         raise ValueError(f"dimension mismatch: {g.dim} vs {c.n}")
     return CosetRep(c.n, merge_pieces(_compose_pieces(g, c.restriction)))
 
 
-def in_H(k: Element | CosetRep) -> bool:
-    """Whether kH is the trivial coset, i.e. k fixes I_l pointwise."""
-    if isinstance(k, CosetRep):
-        return all(p.is_trivial for p in k.restriction)
-    return is_identity_on(k, rect_Il(k.dim))
+def in_H(c: CosetRep) -> bool:
+    """Whether c = kH is the trivial coset, i.e. k fixes I_l pointwise."""
+    return all(p.is_trivial for p in c.restriction)
 
 
-def in_X(c: CosetRep | Element) -> XMember | None:
-    """The X-membership certificate of a coset, or None.
-
-    Returns ``XMember(k(I_l))`` when the representative is a single prefix
-    substitution on I_l.
-    """
-    c = _as_coset(c)
+def in_X(c: CosetRep) -> Rect | None:
+    """The X-membership certificate of a coset kH, or None: the rectangle
+    k(I_l) when k is a single prefix substitution on I_l.  Membership in a
+    translate gX is ``in_X(coset_translate(inverse(g), c))``."""
     ext = is_affine_on(Element(c.n, c.restriction), rect_Il(c.n))
-    return None if ext is None else XMember(ext.ran)
-
-
-def in_gX(g: Element, c: CosetRep | Element) -> XMember | None:
-    """The X-certificate of g^{-1}.c, i.e. whether c lies in the translate gX."""
-    return in_X(coset_translate(inverse(g), c))
+    return None if ext is None else ext.ran
 
 
 def complement_partition(r: Rect) -> tuple[Rect, ...]:
@@ -275,7 +245,10 @@ def _level_sizes(
     cut: tuple[int, ...], cylinders: list[tuple[str, ...]], depth: int
 ) -> list[int]:
     """``_cylinder_levels``' lengths in closed form: T with s >= 1 saturated
-    coordinates has C(e+s-1, s-1) * 2^e members of depth |T| + e."""
+    coordinates has C(e+s-1, s-1) * 2^e members of depth |T| + e.  Raises
+    ValueError when ``depth`` >= ``MAX_MEMBERS``, before the list is made."""
+    if depth >= MAX_MEMBERS:
+        raise ValueError(f"depth must be < {MAX_MEMBERS}, got {depth}")
     sizes = [0] * (depth + 1)
     for t in cylinders:
         size, s = sum(map(len, t)), sum(map(eq, map(len, t), cut))
@@ -316,7 +289,7 @@ class TruncatedCocycle:
 
     element: Element
     depth: int
-    out_side: tuple[XMember, ...]
+    out_side: tuple[Rect, ...]
     in_side: tuple[Rect, ...]
     counts: tuple[int, ...]
     verdict: str
@@ -328,7 +301,7 @@ class TruncatedCocycle:
     def to_dict(self) -> dict:
         return {
             "depth": self.depth,
-            "out_side": [list(m.rect.words) for m in self.out_side],
+            "out_side": [list(r.words) for r in self.out_side],
             "in_side": [list(r.words) for r in self.in_side],
             "counts_by_depth": list(self.counts),
             "verdict": self.verdict,
@@ -346,7 +319,7 @@ class TruncatedCocycle:
         """
         if not 0 <= d <= self.depth:
             raise ValueError(f"depth {d} outside 0..{self.depth}")
-        out_end = bisect_right(self.out_side, d, key=attrgetter("rect.depth"))
+        out_end = bisect_right(self.out_side, d, key=attrgetter("depth"))
         in_end = bisect_right(self.in_side, d, key=attrgetter("depth"))
         sides = self.out_side[:out_end], self.in_side[:in_end]
         return _truncation(self.element, *sides, self.counts[: d + 1])
@@ -354,6 +327,7 @@ class TruncatedCocycle:
 
 #: The most members one truncation may list: past it ``sym_diff_truncated``
 #: raises ValueError before expanding any (``X[1,0]``, n = 2, depth 30: 6.4e9).
+#: Counts stop below the same depth: a truncation lists depth + 1 of them.
 MAX_MEMBERS = 2**18
 
 
@@ -363,26 +337,21 @@ def sym_diff_truncated(g: Element, depth: int) -> TruncatedCocycle:
     A member of X - gX is a proper rectangle on which g^{-1} is not one
     substitution; a member of gX - X is the g-translate of the coset of a
     proper rectangle on which g is not one substitution.  The whole cube
-    (depth 0) is excluded: it never names a coset in X.  Raises ValueError
-    when the closed-form total exceeds ``MAX_MEMBERS``.
+    (depth 0) is excluded: it never names a coset in X.  The counts come
+    from the closed form; raises ValueError when their total exceeds
+    ``MAX_MEMBERS``, before any member is listed.
     """
     sides = [failing_cylinders(h, depth) for h in (inverse(g), g)]
-    # Only a depth with more than MAX_MEMBERS / 2 rectangles (per side) needs
-    # the total counted first; count_rects(n, D) >= 2^D, so stop at bit length.
-    if 2 * count_rects(g.dim, min(depth, MAX_MEMBERS.bit_length())) > MAX_MEMBERS:
-        total = _closed_counts(sides, depth)[-1]
-        if total > MAX_MEMBERS:
-            raise ValueError(
-                f"the truncation at depth {depth} has {total} members, "
-                f"more than {MAX_MEMBERS}"
-            )
-    out_levels, in_levels = (_cylinder_levels(*side, depth) for side in sides)
-    return _truncation(
-        g,
-        tuple(map(XMember, chain.from_iterable(out_levels[1:]))),
-        tuple(chain.from_iterable(in_levels[1:])),
-        _counts([*map(len, out_levels)], [*map(len, in_levels)]),
+    counts = _closed_counts(sides, depth)
+    if counts[-1] > MAX_MEMBERS:
+        raise ValueError(
+            f"the truncation at depth {depth} has {counts[-1]} members, "
+            f"more than {MAX_MEMBERS}"
+        )
+    out_side, in_side = (
+        tuple(chain.from_iterable(_cylinder_levels(*side, depth)[1:])) for side in sides
     )
+    return _truncation(g, out_side, in_side, counts)
 
 
 def cocycle_counts(g: Element, depth: int) -> TruncatedCocycle:
@@ -414,7 +383,7 @@ def _stable_depth(counts: tuple[int, ...]) -> int | None:
 
 
 def _truncation(
-    g: Element, out_side: tuple[XMember, ...], in_side: tuple[Rect, ...], counts
+    g: Element, out_side: tuple[Rect, ...], in_side: tuple[Rect, ...], counts
 ) -> TruncatedCocycle:
     """The truncation of X Δ gX with these depth-sorted sides and counts."""
     depth, total, stable = len(counts) - 1, counts[-1], _stable_depth(counts)
@@ -585,6 +554,7 @@ def f_P_probe(
     corner_set = corners(pattern)
     grids = corner_projections(pattern)
     alphas = alpha_points(n)
+    il = rect_Il(n).words
 
     members: list[Rect] = []
     corner_members: list[Rect] = []
@@ -597,8 +567,8 @@ def f_P_probe(
     values: dict[Rect, tuple[Point, ...]] = {}
     violations: list[GridViolation] = []
     for r in members:
-        k = rect_to_coset(r)
-        imgs = tuple(apply(k, a) for a in alphas)
+        # every alpha point lies in I_l, where rect_to_coset(r) is I_l -> r
+        imgs = tuple(map(AffinePiece._trusted(il, r.words).apply_point, alphas))
         values[r] = imgs
         for ai, img in enumerate(imgs, start=1):
             for d in range(n):
@@ -722,86 +692,4 @@ def properness_bound_check(
     report.params["num_stable"] = stable
     report.params["num_growing"] = growing
     report.params["bound_slack"] = [[s, slack[s]] for s in sorted(slack)]
-    return report
-
-
-def embed_in_half(e: Element, side: str) -> Element:
-    """Copy of e acting inside one coordinate-1 half and fixing the other.
-
-    ``side`` is "left" or "right"; the copy prefixes the half's letter to
-    every coordinate-1 domain and range word and a single identity piece
-    covers the other half.
-    """
-    if side not in ("left", "right"):
-        raise ValueError(f"unknown side {side!r}")
-    bit, other = ("0", rect_Ir(e.dim)) if side == "left" else ("1", rect_Il(e.dim))
-    pieces = [
-        AffinePiece(
-            Rect((bit + p.dom_words[0],) + p.dom_words[1:]),
-            Rect((bit + p.ran_words[0],) + p.ran_words[1:]),
-        )
-        for p in e.pieces
-    ]
-    pieces.append(AffinePiece(other, other))
-    return Element.from_pieces(pieces)
-
-
-def normalizer_commutation_check(
-    n: int, samples: int = 5, seed: int = 0
-) -> CheckReport:
-    """Sanity checks for the half-cube subgroup H used by the coset space.
-
-    Random elements embedded into opposite halves must commute; every
-    right-half embedding lies in H; and conjugating a right-half element by
-    a generator supported on the left half (``X[1,1]``) stays in H — checked
-    on random samples and on the fixed witness swapping the two quarters of
-    the right half.
-    """
-    report = CheckReport(
-        "normalizer_commutation", n, {"samples": samples, "seed": seed}
-    )
-    x11 = make_X(1, 1, n)
-    x11_inv = inverse(x11)
-
-    def run_case(tag: str, left_src: Element, right_src: Element) -> None:
-        a = embed_in_half(left_src, "left")
-        b = embed_in_half(right_src, "right")
-        report.checks.append(
-            CheckResult(
-                "disjoint_supports_commute",
-                f"{tag}: left and right embeddings commute",
-                equals(compose(a, b), compose(b, a)),
-            )
-        )
-        report.checks.append(
-            CheckResult(
-                "right_embedding_in_H",
-                f"{tag}: right embedding fixes I_l",
-                in_H(b),
-            )
-        )
-        conj = compose(compose(x11_inv, b), x11)
-        report.checks.append(
-            CheckResult(
-                "conjugation_preserves_H",
-                f"{tag}: X[1,1]^-1 h X[1,1] stays in H",
-                in_H(conj) and equals(conj, b),
-            )
-        )
-
-    swap = Element.from_pieces(
-        [
-            AffinePiece(
-                Rect(("0",) + ("",) * (n - 1)), Rect(("1",) + ("",) * (n - 1))
-            ),
-            AffinePiece(
-                Rect(("1",) + ("",) * (n - 1)), Rect(("0",) + ("",) * (n - 1))
-            ),
-        ]
-    )
-    run_case("witness(half-swap)", swap, swap)
-    for s in range(samples):
-        a = random_element(n, 4, seed * 1000 + 2 * s)
-        b = random_element(n, 4, seed * 1000 + 2 * s + 1)
-        run_case(f"sample{s}", a, b)
     return report

@@ -441,11 +441,9 @@ def gen_set_S2(n: int) -> list[tuple[str, Element]]:
 
 
 def gen_set_S(n: int) -> list[tuple[str, Element]]:
-    """The finite generating set S = S1 ∪ S2 (P[0] and the X-quotients included)."""
-    seen = {}
-    for label, e in gen_set_S1(n) + gen_set_S2(n):
-        seen.setdefault(label, e)
-    return list(seen.items())
+    """The finite generating set S = S1 ∪ S2 (P[0] and the X-quotients included);
+    the two lists share no label."""
+    return gen_set_S1(n) + gen_set_S2(n)
 
 
 def premise_checks(n: int) -> CheckReport:

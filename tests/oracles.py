@@ -9,6 +9,12 @@ recovers the one substitution from a restricted piece table.  Tests import
 them to check the word kernel against them.  ``cocycle_identity_reference``
 is the cocycle identity check with every translation made afresh and every
 coset pair compared by the word walk, the reference for the memoised one.
+
+``embed_in_half`` and ``normalizer_commutation_check`` are premises about the
+half-cube stabiliser H that only tests use: copies of an element inside one
+coordinate-1 half, and the checks that such copies commute, that a
+right-half copy lies in H, and that conjugating one by ``X[1,1]`` keeps it
+in H (through ``in_H(coset_of(...))``).
 """
 
 from __future__ import annotations
@@ -16,10 +22,19 @@ from __future__ import annotations
 import enum
 from typing import Sequence
 
-from nvcalc.dyadic_core import Rect, enumerate_rects, rect_Il
-from nvcalc.element_algebra import AffinePiece, Element, _agrees, compose, inverse
-from nvcalc.ends_cocycle import CosetRep, coset_translate
+from nvcalc.dyadic_core import Rect, enumerate_rects, rect_Il, rect_Ir
+from nvcalc.element_algebra import (
+    AffinePiece,
+    Element,
+    _agrees,
+    compose,
+    equals,
+    inverse,
+    random_element,
+)
+from nvcalc.ends_cocycle import CosetRep, coset_of, coset_translate, in_H
 from nvcalc.reporting import CheckReport, CheckResult
+from nvcalc.words_generators import make_X
 
 
 class RectRelation(enum.Enum):
@@ -143,4 +158,86 @@ def cocycle_identity_reference(g: Element, h: Element, depth: int = 2) -> CheckR
                     _agrees(composed, stepwise.restriction),
                 )
             )
+    return report
+
+
+def embed_in_half(e: Element, side: str) -> Element:
+    """Copy of e acting inside one coordinate-1 half and fixing the other.
+
+    ``side`` is "left" or "right"; the copy prefixes the half's letter to
+    every coordinate-1 domain and range word and a single identity piece
+    covers the other half.
+    """
+    if side not in ("left", "right"):
+        raise ValueError(f"unknown side {side!r}")
+    bit, other = ("0", rect_Ir(e.dim)) if side == "left" else ("1", rect_Il(e.dim))
+    pieces = [
+        AffinePiece(
+            Rect((bit + p.dom_words[0],) + p.dom_words[1:]),
+            Rect((bit + p.ran_words[0],) + p.ran_words[1:]),
+        )
+        for p in e.pieces
+    ]
+    pieces.append(AffinePiece(other, other))
+    return Element.from_pieces(pieces)
+
+
+def normalizer_commutation_check(
+    n: int, samples: int = 5, seed: int = 0
+) -> CheckReport:
+    """Sanity checks for the half-cube subgroup H used by the coset space.
+
+    Random elements embedded into opposite halves must commute; every
+    right-half embedding lies in H; and conjugating a right-half element by
+    a generator supported on the left half (``X[1,1]``) stays in H — checked
+    on random samples and on the fixed witness swapping the two quarters of
+    the right half.
+    """
+    report = CheckReport(
+        "normalizer_commutation", n, {"samples": samples, "seed": seed}
+    )
+    x11 = make_X(1, 1, n)
+    x11_inv = inverse(x11)
+
+    def run_case(tag: str, left_src: Element, right_src: Element) -> None:
+        a = embed_in_half(left_src, "left")
+        b = embed_in_half(right_src, "right")
+        report.checks.append(
+            CheckResult(
+                "disjoint_supports_commute",
+                f"{tag}: left and right embeddings commute",
+                equals(compose(a, b), compose(b, a)),
+            )
+        )
+        report.checks.append(
+            CheckResult(
+                "right_embedding_in_H",
+                f"{tag}: right embedding fixes I_l",
+                in_H(coset_of(b)),
+            )
+        )
+        conj = compose(compose(x11_inv, b), x11)
+        report.checks.append(
+            CheckResult(
+                "conjugation_preserves_H",
+                f"{tag}: X[1,1]^-1 h X[1,1] stays in H",
+                in_H(coset_of(conj)) and equals(conj, b),
+            )
+        )
+
+    swap = Element.from_pieces(
+        [
+            AffinePiece(
+                Rect(("0",) + ("",) * (n - 1)), Rect(("1",) + ("",) * (n - 1))
+            ),
+            AffinePiece(
+                Rect(("1",) + ("",) * (n - 1)), Rect(("0",) + ("",) * (n - 1))
+            ),
+        ]
+    )
+    run_case("witness(half-swap)", swap, swap)
+    for s in range(samples):
+        a = random_element(n, 4, seed * 1000 + 2 * s)
+        b = random_element(n, 4, seed * 1000 + 2 * s + 1)
+        run_case(f"sample{s}", a, b)
     return report

@@ -262,7 +262,7 @@ def test_criterion_5_cocycle_stabilization_and_brute_force():
     x = make_X(1, 0, 1)
     t = sym_diff_truncated(x, 8)
     assert t.total == 2
-    assert [m.rect.words for m in t.out_side] == [("1",)]
+    assert [m.words for m in t.out_side] == [("1",)]
     assert [r.words for r in t.in_side] == [("0",)]
     assert sym_diff_truncated(make_pibar(0, 1), 8).total == 0
 
@@ -277,7 +277,7 @@ def test_criterion_5_cocycle_stabilization_and_brute_force():
     ]:
         t = sym_diff_truncated(g, 10)
         assert {r.words[0] for r in t.in_side} == one_dim_failing_words(g, 10)
-        assert {m.rect.words[0] for m in t.out_side} == one_dim_failing_words(
+        assert {m.words[0] for m in t.out_side} == one_dim_failing_words(
             inverse(g), 10
         )
 
@@ -333,7 +333,7 @@ def test_criterion_7_halfswap_growth_in_two_dimensions():
             if r.interval(1)[0] < F(1, 2) < r.interval(1)[1]
         }
         assert len(straddlers) == 2 ** (D + 1) - 2
-        assert {m.rect.words for m in t.out_side} == straddlers
+        assert {m.words for m in t.out_side} == straddlers
         assert {r.words for r in t.in_side} == straddlers
         assert t.total == 2 * (2 ** (D + 1) - 2)
         assert t.counts == tuple(

@@ -2,9 +2,11 @@
 
 import hashlib
 import json
+from unittest import mock
 
 import pytest
 
+from nvcalc import cli
 from nvcalc.cli import main
 from nvcalc.element_algebra import MAX_PIECES, element_to_json, random_element
 from nvcalc.ends_cocycle import MAX_MEMBERS, sym_diff_truncated
@@ -129,6 +131,14 @@ def test_library_value_error_exit_two(capsys, argv):
             ["fprobe", "--n", "1", "--word", "X[1,0]", "--depth", "40"],
             f"depth 40 lists more than {MAX_MEMBERS} rectangles",
         ),
+        (
+            ["cocycle", "--n", "1", "--word", "X[1,0]", "--depth", "300000"],
+            f"error: depth must be < {MAX_MEMBERS}, got 300000\n",
+        ),
+        (
+            ["probe", "--n", "1", "--word", "X[1,0]", "--depths", "0..2000"],
+            f"error: depths 0..2000 would write 2003001 counts, more than {MAX_MEMBERS}\n",
+        ),
     ],
     ids=[
         "properness-ball",
@@ -143,6 +153,8 @@ def test_library_value_error_exit_two(capsys, argv):
         "relations-imax-n2",
         "corollaries-imax-n1",
         "fprobe-depth",
+        "cocycle-count-depth",
+        "probe-count-budget",
     ],
 )
 def test_boundary_inputs_exit_two(capsys, argv, message):
@@ -151,8 +163,9 @@ def test_boundary_inputs_exit_two(capsys, argv, message):
     inputs past a size limit (a total too large for a float norm, a
     6.4e9-member list, a generator index of 10^8 whose table costs i^2 to
     build, a relation suite reaching index 100001, rejected before its first
-    identity, a 2^41-rectangle enumeration).  A suite's index error names
-    the largest i_max allowed; those cases give the whole stderr line."""
+    identity, a 2^41-rectangle enumeration, more than ``MAX_MEMBERS``
+    counts).  A suite's index error names the largest i_max allowed; those
+    cases and the count budgets give the whole stderr line."""
     code, out, err = run(capsys, argv)
     assert code == 2
     assert out == ""
@@ -254,6 +267,29 @@ def test_deep_probe_agrees_with_member_lists(capsys, n, word):
         expected = full.at_depth(d).to_dict()
         del expected["out_side"], expected["in_side"]
         assert surveys[d] == expected
+
+
+def test_probe_count_budget_is_exact(capsys, monkeypatch):
+    """A survey at depth d writes d + 1 counts.  The budget admits a depth
+    list writing exactly ``MAX_MEMBERS`` counts, and rejects one more before
+    any search or any list of depths, however long the range."""
+    monkeypatch.setattr(cli, "MAX_MEMBERS", 10)
+    base = ["probe", "--n", "1", "--word", "X[1,0]", "--depths"]
+    for depths in ("0..3", "9", "1..3"):  # 10, 10 and 9 counts
+        assert run(capsys, base + [depths])[0] == 0
+    with mock.patch("nvcalc.cli.cocycle_counts") as search:
+        for depths, written in (
+            ("0..4", 15),
+            ("10", 11),
+            ("4..5", 11),
+            ("0..1000000000000", 500000000001500000000001),
+        ):
+            code, out, err = run(capsys, base + [depths])
+            assert code == 2 and out == ""
+            assert err == (
+                f"error: depths {depths} would write {written} counts, more than 10\n"
+            )
+    assert not search.called
 
 
 def test_probe_single_depth_and_errors(capsys):
@@ -413,8 +449,9 @@ def test_json_output_byte_identical_across_runs(capsys):
 
 
 #: SHA-256 of the JSON envelope of sweeps whose output must not change when
-#: the engine under them is rebuilt.  Update a hash only with a change that
-#: means to change that command's output, and say so.
+#: the engine under them is rebuilt, and of the README's command examples.
+#: Update a hash only with a change that means to change that command's
+#: output, and say so.
 PINNED_OUTPUTS = {
     "cocycle-n2": (
         ["cocycle", "--n", "2", "--word", "X[1,0]", "--depth", "9"],
@@ -470,6 +507,58 @@ PINNED_OUTPUTS = {
             "--corner-mode", "half_open",
         ],
         "f54ca2e1f6b42bcc8d16798b5d24e0e96d6033e782d3061a276e6d44032fbcd7",
+    ),
+    # the README's examples that need no element file
+    "readme-eval": (
+        ["eval", "--n", "1", "--word", "X[1,0] P[2]^-1"],
+        "871121a4786253729f051b0eafdddef47183735fb9cf497880c07937fea3a751",
+    ),
+    "readme-equal": (
+        ["equal", "--n", "1", "--w1", "Pb[0] Pb[0]", "--w2", ""],
+        "d5f42c496db43953df3d062addc00da17a85951dc77ceb3babed94df3e57de2f",
+    ),
+    "readme-apply": (
+        ["apply", "--n", "2", "--word", "C[2,0]", "--point", "1/4,0"],
+        "a89d4b8ac10cb4384e698208aebf298270ad241490143d2e7cd9703536a02a49",
+    ),
+    "readme-support": (
+        ["support", "--n", "1", "--word", "Pb[3]"],
+        "c49804b2fcea54c4e86757c16dee59618031e3ee24d2daebb2392a3af67a1ac0",
+    ),
+    "readme-relations": (
+        ["relations", "--n", "3", "--imax", "3"],
+        "0adb94a1f6404e86748c7d5cd9110a1278c0975e321c31956c2600793adf5ce0",
+    ),
+    "readme-corollaries": (
+        ["corollaries", "--n", "2"],
+        "8ee6bdf3a78aa81639c2b56e858283e53ce4af18726bf1c672aefbec7c075292",
+    ),
+    "readme-premises": (
+        ["premises", "--n", "3"],
+        "febc45e2eebe479f11c0d209694ca144ec652e5026b2da2d1b983c0bd6caf4ec",
+    ),
+    "readme-cocycle": (
+        ["cocycle", "--n", "1", "--word", "X[1,0]", "--depth", "8"],
+        "8288c914df950753e6d11f062b3669af4e2d77393cc85bc6deba09942208556e",
+    ),
+    "readme-probe": (
+        ["probe", "--n", "2", "--word", "Pb[0]", "--depths", "2..6"],
+        "aec49ab9b66e25df273b76a655443bbc18760c69da10f863009c24e72990c3ea",
+    ),
+    "readme-fprobe": (
+        [
+            "fprobe", "--n", "2", "--word", "Pb[0]", "--depth", "2",
+            "--corner-mode", "closed",
+        ],
+        "2971c2c264c449c2382ae4e1086d7a6146d298c63546bd556454c27120ac2e33",
+    ),
+    "readme-properness": (
+        ["properness", "--n", "1", "--ball", "4"],
+        "4a9d9d897a72aa1d484f6c9c4e244462e7f0eac39fd0e45d410acc3e5f9b7166",
+    ),
+    "readme-random": (
+        ["random", "--n", "2", "--size", "6", "--seed", "7"],
+        "d553f8e23cf3be2920df59e3f8f702ddf4bafde8109fbc870da634cd2a69cd5a",
     ),
 }
 

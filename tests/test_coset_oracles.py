@@ -307,9 +307,9 @@ def test_failing_rects_match_brute_force(n, depth):
         for d, level in enumerate(levels):
             assert all(r.depth == d for r in level) and level == sorted(level)
         t = sym_diff_truncated(g, depth)
-        members = [m.rect for m in t.out_side] + list(t.in_side)
+        members = t.out_side + t.in_side
         assert list(t.counts) == [
             sum(1 for r in members if r.depth <= d) for d in range(depth + 1)
         ]
-        # the bound under which sym_diff_truncated skips the budget count
+        # each side lists at most every rectangle of depth 1..depth
         assert t.total <= 2 * count_rects(n, depth)

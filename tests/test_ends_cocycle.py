@@ -30,7 +30,6 @@ from nvcalc.element_algebra import (
 from nvcalc import ends_cocycle
 from nvcalc.ends_cocycle import (
     CosetRep,
-    XMember,
     alpha_points,
     cocycle_counts,
     cocycle_identity_check,
@@ -38,17 +37,15 @@ from nvcalc.ends_cocycle import (
     coset_eq,
     coset_of,
     coset_translate,
-    embed_in_half,
     f_P_probe,
     in_H,
     in_X,
-    in_gX,
-    normalizer_commutation_check,
     properness_bound_check,
     rect_to_coset,
     sym_diff_truncated,
 )
-from nvcalc.words_generators import eval_word, make_X, make_pi, make_pibar
+from nvcalc.words_generators import eval_word, gen_set_S, make_X, make_pi, make_pibar
+from oracles import embed_in_half, normalizer_commutation_check
 
 F = Fraction
 
@@ -89,7 +86,7 @@ def test_rect_to_coset_witness():
         for r in enumerate_rects(n, D):
             k = rect_to_coset(r)
             assert validate(k)
-            assert in_X(coset_of(k)) == XMember(r)
+            assert in_X(coset_of(k)) == r
     with pytest.raises(ValueError):
         rect_to_coset(Rect.cube(2))
 
@@ -104,20 +101,19 @@ def test_rect_to_coset_of_left_half_is_identity():
 # cosets
 
 
-def test_coset_eq_accepts_elements_and_reps():
-    k = rect_to_coset(Rect(("01",)))
-    assert coset_eq(k, coset_of(k))
-    assert coset_eq(coset_of(k), k)
+def test_coset_eq_takes_coset_reps():
+    c = coset_of(rect_to_coset(Rect(("01",))))
+    assert coset_eq(c, CosetRep(1, c.restriction))
     with pytest.raises(ValueError):
-        coset_eq(identity(1), identity(2))
+        coset_eq(coset_of(identity(1)), coset_of(identity(2)))
 
 
 def test_coset_unchanged_by_right_factor_fixing_left_half():
     h = embed_in_half(random_element(1, 4, 3), "right")
     for k in (X1, PB1, rect_to_coset(Rect(("110",)))):
-        assert in_H(h)
-        assert coset_eq(k, compose(k, h))
-        assert not coset_eq(k, compose(k, PB1))  # PB1 moves I_l
+        assert in_H(coset_of(h))
+        assert coset_eq(coset_of(k), coset_of(compose(k, h)))
+        assert not coset_eq(coset_of(k), coset_of(compose(k, PB1)))  # PB1 moves I_l
 
 
 def test_coset_translate_composes():
@@ -129,26 +125,27 @@ def test_coset_translate_composes():
 
 
 def test_in_H():
-    assert in_H(identity(1))
+    assert in_H(coset_of(identity(1)))
     assert in_H(coset_of(identity(2)))
-    assert not in_H(PB1)
+    assert not in_H(coset_of(PB1))
     assert not in_H(coset_of(PB2))
-    assert in_H(embed_in_half(PB1, "right"))
+    assert in_H(coset_of(embed_in_half(PB1, "right")))
 
 
 def test_in_X_certificates():
-    assert in_X(coset_of(identity(1))) == XMember(rect_Il(1))
-    assert in_X(coset_of(PB1)) == XMember(rect_Ir(1))
+    assert in_X(coset_of(identity(1))) == rect_Il(1)
+    assert in_X(coset_of(PB1)) == rect_Ir(1)
     assert in_X(coset_of(make_pi(0, 1))) is None  # two slopes on I_l
     assert in_X(coset_of(X1)) is None  # two slopes on I_l as well
-    assert in_X(coset_of(inverse(X1))) == XMember(Rect(("00",)))
+    assert in_X(coset_of(inverse(X1))) == Rect(("00",))
 
 
 def test_in_gX_example():
     # the coset named by the right half leaves the translated family under X1
-    assert in_gX(X1, rect_to_coset(rect_Ir(1))) is None
+    c = coset_of(rect_to_coset(rect_Ir(1)))
+    assert in_X(coset_translate(inverse(X1), c)) is None
     # but the identity translate keeps it
-    assert in_gX(identity(1), rect_to_coset(rect_Ir(1))) == XMember(rect_Ir(1))
+    assert in_X(coset_translate(identity(1), c)) == rect_Ir(1)
 
 
 # ---------------------------------------------------------------------------
@@ -160,7 +157,7 @@ def test_sym_diff_splitter_frozen():
     assert t.verdict == "STABLE(1)"
     assert t.stable_depth == 1
     assert t.total == 2
-    assert [m.rect.words for m in t.out_side] == [("1",)]
+    assert [m.words for m in t.out_side] == [("1",)]
     assert [r.words for r in t.in_side] == [("0",)]
     assert t.counts == (0, 2, 2, 2, 2, 2, 2, 2, 2)
     assert t.norm == pytest.approx(math.sqrt(2))
@@ -171,7 +168,7 @@ def test_sym_diff_square_frozen():
     t = sym_diff_truncated(compose(X1, X1), 8)
     assert t.verdict == "STABLE(2)"
     assert t.total == 4
-    assert sorted(m.rect.words[0] for m in t.out_side) == ["1", "11"]
+    assert sorted(m.words[0] for m in t.out_side) == ["1", "11"]
     assert sorted(r.words[0] for r in t.in_side) == ["0", "00"]
 
 
@@ -235,17 +232,34 @@ def test_member_budget_trips_before_any_member_is_built(monkeypatch):
     assert (counts.counts, counts.verdict, counts.norm) == (t.counts, t.verdict, t.norm)
 
 
-def test_member_budget_counts_rectangles_only_to_its_bit_length(monkeypatch):
-    """``count_rects(n, D) >= 2^D``, so the budget gate never sums past
-    ``MAX_MEMBERS.bit_length()`` depths, however deep the truncation."""
-    depths, count = [], ends_cocycle.count_rects
-    monkeypatch.setattr(
-        ends_cocycle, "count_rects", lambda n, D: depths.append(D) or count(n, D)
-    )
+def test_member_budget_never_counts_rectangles(monkeypatch):
+    """The budget check reads the closed-form total, so however deep the
+    truncation, no rectangle is counted."""
+    spy = mock.Mock(wraps=ends_cocycle.count_rects)
+    monkeypatch.setattr(ends_cocycle, "count_rects", spy)
     g = eval_word("X[1,0]", 1)
     t = sym_diff_truncated(g, 5000)
-    assert depths and max(depths) <= ends_cocycle.MAX_MEMBERS.bit_length()
+    assert not spy.called
     assert t.total == sym_diff_truncated(g, 10).total and t.stable_depth is not None
+
+
+def test_count_paths_stop_below_the_member_budget(monkeypatch):
+    """Every count path lists depth + 1 counts, so each rejects a depth of
+    ``MAX_MEMBERS`` or more; a huge depth is rejected before its list exists."""
+    message = f"depth must be < {ends_cocycle.MAX_MEMBERS}, got {10**12}"
+    with pytest.raises(ValueError, match=message):
+        cocycle_counts(X1, 10**12)
+    monkeypatch.setattr(ends_cocycle, "MAX_MEMBERS", 40)
+    assert sym_diff_truncated(X1, 39).counts == (0,) + (2,) * 39
+    assert cocycle_counts(X1, 39).total == 2
+    assert properness_bound_check(1, 1, depth=39).all_pass
+    for count in (
+        lambda: sym_diff_truncated(X1, 40),
+        lambda: cocycle_counts(X1, 40),
+        lambda: properness_bound_check(1, 1, depth=40),
+    ):
+        with pytest.raises(ValueError, match="depth must be < 40, got 40"):
+            count()
 
 
 def test_sym_diff_identity_is_empty():
@@ -267,7 +281,8 @@ def test_membership_indicator_is_plus_minus_one():
     for g in (X1, PB1, make_pi(0, 1)):
         for r in enumerate_rects(1, 3):
             c = coset_of(rect_to_coset(r))
-            pi_g = (in_gX(g, c) is not None) - (in_X(c) is not None)
+            in_gX = in_X(coset_translate(inverse(g), c))
+            pi_g = (in_gX is not None) - (in_X(c) is not None)
             assert pi_g in (-1, 0, 1)
 
 
@@ -291,7 +306,8 @@ def _four_term_identity(g, h, depth):
     """Per test coset, whether pi_gh(c) = pi_g(c) + pi_h(g^{-1} c) literally."""
 
     def pi(k, c):
-        return (in_gX(k, c) is not None) - (in_X(c) is not None)
+        in_kX = in_X(coset_translate(inverse(k), c))
+        return (in_kX is not None) - (in_X(c) is not None)
 
     gh = compose(g, h)
     holds = []
@@ -333,6 +349,22 @@ def test_f_P_probe_splitter():
     assert r.grid_violations == ()
     assert r.injective
     assert r.values[Rect(("0",))] == ((F(1, 4),),)
+
+
+@pytest.mark.parametrize("n, depth", [(1, 7), (2, 4), (3, 3)])
+def test_f_P_probe_values_are_the_witness_images(n, depth):
+    """Each member's values, read off the one piece I_l -> R, are the images
+    of the probe points under the whole witness ``rect_to_coset(R)``."""
+    letters = [e for _, s in gen_set_S(n) for e in (s, inverse(s))]
+    randoms = [random_element(n, size, seed) for seed, size in enumerate((4, 9, 16))]
+    checked = 0
+    for g in letters + randoms:
+        result = f_P_probe(g, depth)
+        for r in result.members:
+            k = rect_to_coset(r)
+            assert result.values[r] == tuple(apply(k, a) for a in alpha_points(n))
+            checked += 1
+    assert checked
 
 
 def test_f_P_probe_rectangle_budget_trips_before_listing(monkeypatch):

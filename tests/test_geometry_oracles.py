@@ -16,7 +16,6 @@ from nvcalc.dyadic_core import Rect, is_partition, rect_Il, rect_intersect, tree
 from nvcalc.element_algebra import _random_tree, random_element
 from nvcalc.ends_cocycle import (
     CosetRep,
-    XMember,
     coset_of,
     coset_translate,
     in_X,
@@ -122,7 +121,7 @@ def test_is_partition_agrees_with_rect_relation_form(rs):
 
 def in_X_by_extension(c: CosetRep):
     ext = affine_extension(c.restriction, rect_Il(c.n))
-    return None if ext is None else XMember(ext.ran)
+    return None if ext is None else ext.ran
 
 
 @given(st.integers(0, 10**6), st.integers(1, 3), st.booleans())
@@ -137,8 +136,9 @@ def test_in_X_agrees_with_affine_extension_on_cosets_and_translates(seed, n, in_
         k = rect_to_coset(r)
     else:
         k = random_element(n, rng.randint(1, 8), rng)
-    cosets = [coset_of(k)] + [coset_translate(s, k) for _, s in gen_set_S(n)]
+    base = coset_of(k)
+    cosets = [base] + [coset_translate(s, base) for _, s in gen_set_S(n)]
     for c in cosets:
         assert in_X(c) == in_X_by_extension(c)
     if in_family:
-        assert in_X(cosets[0]) == XMember(r)
+        assert in_X(cosets[0]) == r

@@ -37,7 +37,7 @@ from nvcalc.element_algebra import (
     random_element,
     restrict,
 )
-from nvcalc.ends_cocycle import CosetRep, coset_eq, coset_of, embed_in_half
+from nvcalc.ends_cocycle import CosetRep, coset_eq, coset_of
 from nvcalc.words_generators import (
     eval_word,
     gen_set_S,
@@ -46,7 +46,7 @@ from nvcalc.words_generators import (
     make_pibar,
     make_X,
 )
-from oracles import affine_extension, image_of, restrict_to
+from oracles import affine_extension, embed_in_half, image_of, restrict_to
 
 # ---------------------------------------------------------------------------
 # reference implementations

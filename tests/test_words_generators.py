@@ -376,6 +376,28 @@ def test_generating_set_sizes():
     assert len(set(labels)) == len(labels)
 
 
+#: The letters of S in order: S1, then S2.
+S_LABELS = {
+    1: ["X[1,1]", "P[3]", "Pb[3]", "X[1,1] X[1,0]^-1", "P[0]"],
+    2: [
+        "X[1,1]", "X[2,1]", "C[2,2]", "P[3]", "Pb[3]",
+        "X[1,1] X[1,0]^-1", "X[2,1] X[2,0]^-1", "P[0]",
+    ],
+    3: [
+        "X[1,1]", "X[2,1]", "X[3,1]", "C[2,2]", "C[3,2]", "P[3]", "Pb[3]",
+        "X[1,1] X[1,0]^-1", "X[2,1] X[2,0]^-1", "X[3,1] X[3,0]^-1", "P[0]",
+    ],
+}
+
+
+@pytest.mark.parametrize("n", [1, 2, 3])
+def test_gen_set_S_is_S1_then_S2_with_distinct_labels(n):
+    labels = [lbl for lbl, _ in gen_set_S(n)]
+    assert labels == S_LABELS[n]
+    assert len(set(labels)) == len(labels)
+    assert gen_set_S(n) == gen_set_S1(n) + gen_set_S2(n)
+
+
 def test_gen_set_elements_match_labels():
     for n in (1, 2):
         for lbl, e in gen_set_S(n):
