@@ -3,9 +3,11 @@
 The package provides, entirely with exact arithmetic:
 
 - ``dyadic_core``: standard dyadic rectangles in the half-open unit cube,
-  patterns (finite rectangle partitions), corners, refinements, enumeration.
+  their intersections, corners, and enumeration by depth.
 - ``element_algebra``: group elements as finite piecewise prefix-substitution
   maps — composition, inverse, equality, supports, affinity tests, reduction.
+  A piece table's domains are one pattern (a partition of the cube into
+  rectangles) and its ranges are the other.
 - ``words_generators``: the named generator families, a word language with a
   parser, the machine-checked relation suite, and the finite-generation and
   fixed-rectangle premise checks.
@@ -19,17 +21,12 @@ The package provides, entirely with exact arithmetic:
 __version__ = "0.1.0"
 
 from nvcalc.dyadic_core import (  # noqa: F401
-    Pattern,
     Rect,
-    SplitLeaf,
-    SplitNode,
-    common_refinement,
     corners,
     corner_projections,
     enumerate_rects,
     halve,
     is_partition,
-    pattern_from_tree,
     rect_Il,
     rect_Ir,
 )

@@ -52,7 +52,6 @@ from nvcalc.ends_cocycle import (
     properness_bound_check,
     sym_diff_truncated,
 )
-from nvcalc.reporting import jsonable
 from nvcalc.words_generators import (
     corollary_checks,
     eval_word,
@@ -162,7 +161,7 @@ def _run(args: argparse.Namespace) -> tuple[dict[str, Any], bool]:
         g = _load_element(args)
         p = _parse_point(args.point, args.n)
         image = apply_element(g, p)
-        return {"point": jsonable(p), "image": jsonable(image)}, True
+        return {"point": list(map(str, p)), "image": list(map(str, image))}, True
     if cmd == "support":
         g = _load_element(args)
         rects = support(g)
@@ -210,7 +209,7 @@ def _run(args: argparse.Namespace) -> tuple[dict[str, Any], bool]:
 
 
 def _config_echo(args: argparse.Namespace) -> dict[str, Any]:
-    skip = {"command", "format", "output", "func"}
+    skip = {"command", "format", "output"}
     return {
         k: v
         for k, v in sorted(vars(args).items())

@@ -1,10 +1,12 @@
-"""Exact representation of standard dyadic rectangles, patterns, and corners.
+"""Exact standard dyadic rectangles: intersection, corners, and enumeration.
 
 A *binary word* ``w = b1 b2 ... bk`` (a ``str`` over ``'0'``/``'1'``) encodes
 the half-open interval ``[0.b1b2...bk, 0.b1b2...bk + 2^-k)`` inside ``[0, 1)``;
 the empty word encodes ``[0, 1)`` itself.  An n-dimensional *rectangle* is an
 n-tuple of binary words and encodes the product of its coordinate intervals.
-A *pattern* is a finite set of rectangles that partition the unit cube.
+A *pattern* is a finite set of rectangles that partition the unit cube; it
+has no type of its own, since the domains of an element's piece table, in
+table order, are one pattern and its ranges are another.
 
 All arithmetic is exact: endpoints and corner coordinates are
 ``fractions.Fraction`` values with power-of-two denominators.  Rectangles are
@@ -23,11 +25,6 @@ from typing import Iterable, Iterator, Sequence
 __all__ = [
     "Point",
     "Rect",
-    "Pattern",
-    "SplitLeaf",
-    "SplitNode",
-    "SplitTree",
-    "common_refinement",
     "contains_point",
     "corner_projections",
     "corners",
@@ -35,13 +32,10 @@ __all__ = [
     "enumerate_rects",
     "halve",
     "is_partition",
-    "pattern_from_tree",
     "rect_Il",
     "rect_Ir",
     "rect_intersect",
-    "tree_leaves",
     "word_interval",
-    "word_value",
 ]
 
 #: An exact point of the closed unit cube: a tuple of dyadic rationals.
@@ -54,16 +48,9 @@ def _check_word(w: str) -> str:
     return w
 
 
-def word_value(w: str) -> Fraction:
-    """Left endpoint of the interval encoded by ``w``."""
-    if not w:
-        return Fraction(0)
-    return Fraction(int(w, 2), 2 ** len(w))
-
-
 def word_interval(w: str) -> tuple[Fraction, Fraction]:
     """Half-open interval ``[lo, hi)`` encoded by ``w``; the empty word gives [0, 1)."""
-    lo = word_value(w)
+    lo = Fraction(int(w or "0", 2), 2 ** len(w))
     return lo, lo + Fraction(1, 2 ** len(w))
 
 
@@ -188,100 +175,22 @@ def is_partition(rects: Iterable[Rect]) -> bool:
     return True
 
 
-@dataclass(frozen=True)
-class Pattern:
-    """A finite partition of the unit cube into rectangles (sorted, immutable)."""
+def corners(cells: Sequence[Rect]) -> frozenset[Point]:
+    """All corner points of the cells (deduplicated).
 
-    dim: int
-    rects: tuple[Rect, ...]
-
-    @staticmethod
-    def from_rects(rects: Iterable[Rect], check: bool = True) -> "Pattern":
-        rs = sorted(set(rects), key=lambda r: r.words)
-        if not rs:
-            raise ValueError("a pattern needs at least one rectangle")
-        if check and not is_partition(rs):
-            raise ValueError("rectangles do not partition the unit cube")
-        return Pattern(rs[0].dim, tuple(rs))
-
-    def __len__(self) -> int:
-        return len(self.rects)
-
-    def __iter__(self) -> Iterator[Rect]:
-        return iter(self.rects)
-
-
-@dataclass(frozen=True)
-class SplitLeaf:
-    """Leaf of a split tree: an undivided cell."""
-
-
-@dataclass(frozen=True)
-class SplitNode:
-    """Internal node: halve the current cell along coordinate ``d``, then recurse."""
-
-    d: int
-    left: "SplitTree"
-    right: "SplitTree"
-
-
-SplitTree = SplitLeaf | SplitNode
-
-
-def tree_leaves(tree: SplitTree, n: int) -> list[Rect]:
-    """Leaf rectangles of a split tree in left-to-right order."""
-
-    out: list[Rect] = []
-
-    def walk(t: SplitTree, cell: Rect) -> None:
-        if isinstance(t, SplitLeaf):
-            out.append(cell)
-            return
-        if not 1 <= t.d <= n:
-            raise ValueError(f"split coordinate {t.d} out of range for dimension {n}")
-        lo, hi = halve(cell, t.d)
-        walk(t.left, lo)
-        walk(t.right, hi)
-
-    walk(tree, Rect.cube(n))
-    return out
-
-
-def pattern_from_tree(tree: SplitTree, n: int) -> Pattern:
-    """Pattern formed by the leaves of a split tree (always a valid partition)."""
-    return Pattern.from_rects(tree_leaves(tree, n), check=False)
-
-
-def common_refinement(p: Pattern, q: Pattern) -> Pattern:
-    """All nonempty pairwise intersections of pieces; refines both arguments."""
-    if p.dim != q.dim:
-        raise ValueError(f"dimension mismatch: {p.dim} vs {q.dim}")
-    pieces = []
-    for a in p.rects:
-        for b in q.rects:
-            m = rect_intersect(a, b)
-            if m is not None:
-                pieces.append(m)
-    return Pattern.from_rects(pieces, check=False)
-
-
-def corners(p: Pattern) -> frozenset[Point]:
-    """All corner points of the pieces of ``p`` (deduplicated).
-
-    Each piece contributes the ``2^n`` points whose d-th coordinate is either
+    Each cell contributes the ``2^n`` points whose d-th coordinate is either
     endpoint of its d-th interval; the upper endpoint may equal 1.
     """
     pts: set[Point] = set()
-    for r in p.rects:
-        axes = [(lo, hi) for lo, hi in r.intervals()]
-        pts.update(itertools.product(*axes))
+    for r in cells:
+        pts.update(itertools.product(*r.intervals()))
     return frozenset(pts)
 
 
-def corner_projections(p: Pattern) -> tuple[frozenset[Fraction], ...]:
-    """Per-coordinate projections of the corner set of ``p``."""
-    proj: list[set[Fraction]] = [set() for _ in range(p.dim)]
-    for r in p.rects:
+def corner_projections(cells: Sequence[Rect]) -> tuple[frozenset[Fraction], ...]:
+    """Per-coordinate projections of the corner set of the cells."""
+    proj: list[set[Fraction]] = [set() for _ in range(cells[0].dim)]
+    for r in cells:
         for d, (lo, hi) in enumerate(r.intervals()):
             proj[d].update((lo, hi))
     return tuple(frozenset(s) for s in proj)

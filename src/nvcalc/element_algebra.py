@@ -37,16 +37,11 @@ from operator import attrgetter
 from typing import Iterable, Sequence
 
 from nvcalc.dyadic_core import (
-    Pattern,
     Point,
     Rect,
-    SplitLeaf,
-    SplitNode,
-    SplitTree,
     contains_point,
     halve,
     is_partition,
-    tree_leaves,
     word_interval,
 )
 
@@ -170,12 +165,6 @@ class Element:
     def _hash(self) -> int:
         """The dataclass hash of (dim, pieces), computed once per table."""
         return hash((self.dim, self.pieces))
-
-    def domain_pattern(self) -> Pattern:
-        return Pattern.from_rects((p.dom for p in self.pieces), check=False)
-
-    def range_pattern(self) -> Pattern:
-        return Pattern.from_rects((p.ran for p in self.pieces), check=False)
 
     @cached_property
     def _index(self) -> tuple[dict[str, list[AffinePiece]], list[str], int]:
@@ -455,26 +444,26 @@ def element_depth(g: Element) -> int:
     return max(len("".join(w)) for p in pieces for w in (p.dom_words, p.ran_words))
 
 
-def _random_tree(rng: random.Random, leaves: int, n: int) -> SplitTree:
+def _random_leaves(rng: random.Random, leaves: int, cell: Rect) -> list[Rect]:
+    """``cell`` halved at random into ``leaves`` cells, left to right.  Draws
+    the left count, then the coordinate, then recurses left and right."""
     if leaves == 1:
-        return SplitLeaf()
+        return [cell]
     left = rng.randint(1, leaves - 1)
-    return SplitNode(
-        rng.randint(1, n),
-        _random_tree(rng, left, n),
-        _random_tree(rng, leaves - left, n),
-    )
+    lo, hi = halve(cell, rng.randint(1, cell.dim))
+    return _random_leaves(rng, left, lo) + _random_leaves(rng, leaves - left, hi)
 
 
 def random_element(n: int, size: int, seed: int | random.Random) -> Element:
-    """Deterministic fuzz element: two random split trees and a random pairing."""
+    """Deterministic fuzz element: two random halvings of the cube into
+    ``size`` cells each, and a random pairing."""
     if n < 1:
         raise ValueError("dimension must be >= 1")
     if size < 1:
         raise ValueError("size must be >= 1")
     rng = seed if isinstance(seed, random.Random) else random.Random(seed)
-    doms = tree_leaves(_random_tree(rng, size, n), n)
-    rans = tree_leaves(_random_tree(rng, size, n), n)
+    doms = _random_leaves(rng, size, Rect.cube(n))
+    rans = _random_leaves(rng, size, Rect.cube(n))
     pairing = list(range(size))
     rng.shuffle(pairing)
     return Element.from_pieces(

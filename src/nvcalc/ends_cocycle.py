@@ -53,7 +53,6 @@ from itertools import accumulate, chain
 from operator import add, attrgetter, eq
 
 from nvcalc.dyadic_core import (
-    Pattern,
     Point,
     Rect,
     contains_point,
@@ -241,19 +240,35 @@ def _cylinder_levels(
     return [list(map(Rect._trusted, sorted(level))) for level in levels]
 
 
-def _level_sizes(
-    cut: tuple[int, ...], cylinders: list[tuple[str, ...]], depth: int
-) -> list[int]:
-    """``_cylinder_levels``' lengths in closed form: T with s >= 1 saturated
-    coordinates has C(e+s-1, s-1) * 2^e members of depth |T| + e.  Raises
-    ValueError when ``depth`` >= ``MAX_MEMBERS``, before the list is made."""
+def _check_depth(depth: int) -> None:
+    """Reject a depth no count path takes: a negative one, or ``MAX_MEMBERS``
+    or more (a truncation lists depth + 1 counts)."""
+    if depth < 0:
+        raise ValueError("depth must be >= 0")
     if depth >= MAX_MEMBERS:
         raise ValueError(f"depth must be < {MAX_MEMBERS}, got {depth}")
-    sizes = [0] * (depth + 1)
+
+
+def _level_sizes(
+    cut: tuple[int, ...],
+    cylinders: list[tuple[str, ...]],
+    depth: int,
+    limit: float = math.inf,
+) -> list[int] | None:
+    """``_cylinder_levels``' lengths in closed form: T with s >= 1 saturated
+    coordinates has C(e+s-1, s-1) * 2^e members of depth |T| + e.  Returns
+    None as soon as the members of depth >= 1 pass ``limit``.  Raises
+    ValueError for a depth ``_check_depth`` rejects, before the list is made."""
+    _check_depth(depth)
+    sizes, total = [0] * (depth + 1), 0
     for t in cylinders:
         size, s = sum(map(len, t)), sum(map(eq, map(len, t), cut))
         for e in range(depth - size + 1 if s else 1):
-            sizes[size + e] += math.comb(e + s - 1, e) << e if s else 1
+            k = math.comb(e + s - 1, e) << e if s else 1
+            sizes[size + e] += k
+            total += k
+            if total - sizes[0] > limit:
+                return None
     return sizes
 
 
@@ -338,15 +353,14 @@ def sym_diff_truncated(g: Element, depth: int) -> TruncatedCocycle:
     substitution; a member of gX - X is the g-translate of the coset of a
     proper rectangle on which g is not one substitution.  The whole cube
     (depth 0) is excluded: it never names a coset in X.  The counts come
-    from the closed form; raises ValueError when their total exceeds
-    ``MAX_MEMBERS``, before any member is listed.
+    from the closed form; raises ValueError as soon as their running total
+    passes ``MAX_MEMBERS``, before any member is listed.
     """
     sides = [failing_cylinders(h, depth) for h in (inverse(g), g)]
-    counts = _closed_counts(sides, depth)
-    if counts[-1] > MAX_MEMBERS:
+    counts = _closed_counts(sides, depth, MAX_MEMBERS)
+    if counts is None:
         raise ValueError(
-            f"the truncation at depth {depth} has {counts[-1]} members, "
-            f"more than {MAX_MEMBERS}"
+            f"the truncation at depth {depth} has more than {MAX_MEMBERS} members"
         )
     out_side, in_side = (
         tuple(chain.from_iterable(_cylinder_levels(*side, depth)[1:])) for side in sides
@@ -359,16 +373,19 @@ def cocycle_counts(g: Element, depth: int) -> TruncatedCocycle:
     the same counts, verdict and norm, in closed form from the cylinders.
     Raises ValueError when the total is too large for a float norm."""
     sides = [failing_cylinders(h, depth) for h in (inverse(g), g)]
-    counts = _closed_counts(sides, depth)
-    if counts[-1] > sys.float_info.max:
+    counts = _closed_counts(sides, depth, sys.float_info.max)
+    if counts is None:
         raise ValueError(f"the total at depth {depth} is too large for a float norm")
     return _truncation(g, (), (), counts)
 
 
-def _closed_counts(sides: list, depth: int) -> tuple[int, ...]:
+def _closed_counts(sides: list, depth: int, limit: float) -> tuple[int, ...] | None:
     """The cumulative counts of X Δ gX from the cylinders of g^{-1} and of g
-    (X - gX, then gX - X), with no member built."""
-    return _counts(*(_level_sizes(*side, depth) for side in sides))
+    (X - gX, then gX - X), with no member built; None once the total passes
+    ``limit``, which stops the sums of a huge truncation early."""
+    sizes = [_level_sizes(*side, depth, limit) for side in sides]
+    counts = None if None in sizes else _counts(*sizes)
+    return counts if counts and counts[-1] <= limit else None
 
 
 def _counts(out_sizes: list[int], in_sizes: list[int]) -> tuple[int, ...]:
@@ -473,6 +490,8 @@ class GridViolation:
 class FPProbeResult:
     """Separating-map probe attached to an element's domain pattern P.
 
+    ``pattern`` holds the cells of P: the domains of g's reduced piece table,
+    in table order, which is sorted by domain words.
     ``members`` are the proper rectangles of depth <= depth that are not
     contained in any single cell of P (the membership test used throughout);
     ``members_corner_meets`` is the companion predicate — rectangles whose
@@ -487,7 +506,7 @@ class FPProbeResult:
     n: int
     depth: int
     corner_mode: str
-    pattern: Pattern
+    pattern: tuple[Rect, ...]
     members: tuple[Rect, ...]
     members_corner_meets: tuple[Rect, ...]
     values: dict[Rect, tuple[Point, ...]] = field(compare=False)
@@ -549,8 +568,7 @@ def f_P_probe(
     if count_rects(n, min(depth, MAX_MEMBERS.bit_length())) > MAX_MEMBERS:
         raise ValueError(f"depth {depth} lists more than {MAX_MEMBERS} rectangles")
     meets = contains_point if corner_mode == "half_open" else _closure_contains
-    pattern = simplify(g).domain_pattern()
-    cells = list(pattern)
+    pattern = tuple(p.dom for p in simplify(g).pieces)
     corner_set = corners(pattern)
     grids = corner_projections(pattern)
     alphas = alpha_points(n)
@@ -559,7 +577,7 @@ def f_P_probe(
     members: list[Rect] = []
     corner_members: list[Rect] = []
     for r in enumerate_rects(n, depth):
-        if not any(rect_intersect(r, cell) == r for cell in cells):
+        if not any(rect_intersect(r, cell) == r for cell in pattern):
             members.append(r)
         if any(meets(r, q) for q in corner_set):
             corner_members.append(r)
@@ -642,6 +660,8 @@ def properness_bound_check(
     """
     if ball_radius < 0:
         raise ValueError("ball radius must be >= 0")
+    if depth is not None:
+        _check_depth(depth)  # before the ball, which costs far more
     report = CheckReport(
         "properness_bound",
         n,

@@ -8,10 +8,9 @@ data — e.g. an expected non-commutation — that must never fail a run).
 from __future__ import annotations
 
 from dataclasses import dataclass, field
-from fractions import Fraction
 from typing import Any
 
-__all__ = ["CheckResult", "CheckReport", "jsonable"]
+__all__ = ["CheckResult", "CheckReport"]
 
 
 @dataclass(frozen=True)
@@ -62,7 +61,7 @@ class CheckReport:
         return {
             "kind": self.kind,
             "n": self.n,
-            "params": jsonable(self.params),
+            "params": dict(self.params),
             "all_pass": self.all_pass,
             "num_checks": sum(1 for c in self.checks if c.asserted),
             "num_failures": len(self.failures),
@@ -82,23 +81,3 @@ class CheckReport:
             ],
         }
 
-
-def jsonable(value: Any) -> Any:
-    """Recursively convert report values into JSON-serializable data.
-
-    Fractions become exact ``"p/q"`` strings (integers stay plain), tuples
-    become lists, and mappings keep sorted insertion order for determinism.
-    """
-    if isinstance(value, Fraction):
-        return str(value.numerator) if value.denominator == 1 else (
-            f"{value.numerator}/{value.denominator}"
-        )
-    if isinstance(value, dict):
-        return {str(k): jsonable(v) for k, v in value.items()}
-    if isinstance(value, (list, tuple)):
-        return [jsonable(v) for v in value]
-    if isinstance(value, (str, int, float, bool)) or value is None:
-        return value
-    if hasattr(value, "to_dict"):
-        return value.to_dict()
-    return str(value)

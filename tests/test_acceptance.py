@@ -113,7 +113,7 @@ def one_dim_failing_words(g, depth):
 def two_dim_probe_oracle(g, depth):
     """Independent n=2 probe: membership, probe values, grids, violations,
     all recomputed from raw interval endpoints."""
-    cells = [r.intervals() for r in simplify(g).domain_pattern()]
+    cells = [p.dom.intervals() for p in simplify(g).pieces]
     grids = [set(), set()]
     for cell in cells:
         for d, (lo, hi) in enumerate(cell):

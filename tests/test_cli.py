@@ -115,7 +115,7 @@ def test_library_value_error_exit_two(capsys, argv):
         ),
         (
             ["cocycle", "--n", "2", "--word", "X[1,0]", "--depth", "30"],
-            f"has 6442450938 members, more than {MAX_MEMBERS}",
+            f"error: the truncation at depth 30 has more than {MAX_MEMBERS} members\n",
         ),
         (["eval", "--n", "1", "--word", "P[99999999]"], "index must be <= 256"),
         (["relations", "--n", "1", "--imax", "100000"], "index must be <= 256"),

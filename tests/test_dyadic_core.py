@@ -1,4 +1,4 @@
-"""Unit tests for the dyadic rectangle / pattern layer."""
+"""Unit tests for the dyadic rectangle layer."""
 
 import itertools
 import random
@@ -9,11 +9,7 @@ from hypothesis import given, settings
 from hypothesis import strategies as st
 
 from nvcalc.dyadic_core import (
-    Pattern,
     Rect,
-    SplitLeaf,
-    SplitNode,
-    common_refinement,
     contains_point,
     corner_projections,
     corners,
@@ -21,14 +17,12 @@ from nvcalc.dyadic_core import (
     enumerate_rects,
     halve,
     is_partition,
-    pattern_from_tree,
     rect_Il,
     rect_Ir,
     rect_intersect,
-    tree_leaves,
     word_interval,
-    word_value,
 )
+from nvcalc.element_algebra import _random_leaves
 from oracles import RectRelation, rect_relation
 
 F = Fraction
@@ -48,11 +42,12 @@ def all_words(max_len):
 
 
 def test_word_value_examples():
-    assert word_value("") == 0
-    assert word_value("0") == 0
-    assert word_value("1") == F(1, 2)
-    assert word_value("011") == F(3, 8)
-    assert word_value("1101") == F(13, 16)
+    """A word's value is the left end of its interval."""
+    assert word_interval("")[0] == 0
+    assert word_interval("0")[0] == 0
+    assert word_interval("1")[0] == F(1, 2)
+    assert word_interval("011")[0] == F(3, 8)
+    assert word_interval("1101")[0] == F(13, 16)
 
 
 def test_word_interval_examples():
@@ -221,93 +216,12 @@ def test_is_partition_cases():
         is_partition([Rect(("0",)), Rect(("0", ""))])
 
 
-def test_pattern_from_rects_checks_and_sorts():
-    p = Pattern.from_rects([Rect(("1",)), Rect(("01",)), Rect(("00",))])
-    assert [r.words for r in p] == [("00",), ("01",), ("1",)]
-    assert len(p) == 3
-    assert p.dim == 1
-    with pytest.raises(ValueError):
-        Pattern.from_rects([Rect(("0",))])
-    with pytest.raises(ValueError):
-        Pattern.from_rects([])
-
-
-def test_tree_leaves_order_and_partition():
-    tree = SplitNode(1, SplitNode(2, SplitLeaf(), SplitLeaf()), SplitLeaf())
-    leaves = tree_leaves(tree, 2)
-    assert [r.words for r in leaves] == [("0", "0"), ("0", "1"), ("1", "")]
-    assert is_partition(leaves)
-    with pytest.raises(ValueError):
-        tree_leaves(SplitNode(3, SplitLeaf(), SplitLeaf()), 2)
-
-
-def test_pattern_from_random_trees_is_partition():
-    rng = random.Random(7)
-
-    def rand_tree(leaves, n):
-        if leaves == 1:
-            return SplitLeaf()
-        left = rng.randint(1, leaves - 1)
-        return SplitNode(
-            rng.randint(1, n), rand_tree(left, n), rand_tree(leaves - left, n)
-        )
-
-    for n in (1, 2, 3):
-        for _ in range(20):
-            p = pattern_from_tree(rand_tree(rng.randint(1, 8), n), n)
-            assert is_partition(p.rects)
-
-
-# ---------------------------------------------------------------------------
-# common refinement
-
-
-def tree_pattern_samples():
-    a = pattern_from_tree(
-        SplitNode(1, SplitLeaf(), SplitNode(1, SplitLeaf(), SplitLeaf())), 2
-    )
-    b = pattern_from_tree(
-        SplitNode(2, SplitNode(1, SplitLeaf(), SplitLeaf()), SplitLeaf()), 2
-    )
-    c = pattern_from_tree(SplitNode(2, SplitLeaf(), SplitLeaf()), 2)
-    return a, b, c
-
-
-def refines(fine, coarse):
-    return all(
-        any(
-            rect_relation(piece, big)
-            in (RectRelation.EQUAL, RectRelation.B_CONTAINS_A)
-            for big in coarse
-        )
-        for piece in fine
-    )
-
-
-def test_common_refinement_properties():
-    a, b, c = tree_pattern_samples()
-    for p, q in itertools.product((a, b, c), repeat=2):
-        m = common_refinement(p, q)
-        assert is_partition(m.rects)
-        assert m == common_refinement(q, p)
-        assert refines(m, p) and refines(m, q)
-    for p in (a, b, c):
-        assert common_refinement(p, p) == p
-
-
-def test_common_refinement_dim_mismatch():
-    one = Pattern.from_rects([Rect.cube(1)])
-    two = Pattern.from_rects([Rect.cube(2)])
-    with pytest.raises(ValueError):
-        common_refinement(one, two)
-
-
 # ---------------------------------------------------------------------------
 # corners
 
 
 def test_corners_three_cell_example():
-    p = Pattern.from_rects([Rect(("0", "")), Rect(("1", "0")), Rect(("1", "1"))])
+    p = [Rect(("0", "")), Rect(("1", "0")), Rect(("1", "1"))]
     cs = corners(p)
     assert len(cs) == 8
     assert (F(1, 2), F(1, 2)) in cs
@@ -317,7 +231,7 @@ def test_corners_three_cell_example():
 
 
 def test_corners_one_dimensional():
-    p = Pattern.from_rects([Rect(("00",)), Rect(("01",)), Rect(("1",))])
+    p = [Rect(("00",)), Rect(("01",)), Rect(("1",))]
     assert corners(p) == frozenset({(F(0),), (F(1, 4),), (F(1, 2),), (F(1),)})
     assert corner_projections(p) == (
         frozenset({F(0), F(1, 4), F(1, 2), F(1)}),
@@ -325,7 +239,7 @@ def test_corners_one_dimensional():
 
 
 def test_corner_projections_two_dimensional():
-    p = Pattern.from_rects([Rect(("0", "")), Rect(("1", "0")), Rect(("1", "1"))])
+    p = [Rect(("0", "")), Rect(("1", "0")), Rect(("1", "1"))]
     g1, g2 = corner_projections(p)
     assert g1 == frozenset({F(0), F(1, 2), F(1)})
     assert g2 == frozenset({F(0), F(1, 2), F(1)})
@@ -373,22 +287,15 @@ def test_interval_versus_pattern_dichotomy_exhaustive():
     """Every dyadic interval either nests in a single piece of a 1-D pattern
     or has both endpoints on the pattern's corner grid (exhaustive, depth 6)."""
     patterns = [
-        Pattern.from_rects([Rect(("00",)), Rect(("01",)), Rect(("1",))]),
-        Pattern.from_rects([Rect(("0",)), Rect(("1",))]),
-        Pattern.from_rects(
-            [Rect(("000",)), Rect(("001",)), Rect(("01",)), Rect(("1",))]
-        ),
-        Pattern.from_rects([Rect(("",))]),
+        [Rect(("00",)), Rect(("01",)), Rect(("1",))],
+        [Rect(("0",)), Rect(("1",))],
+        [Rect(("000",)), Rect(("001",)), Rect(("01",)), Rect(("1",))],
+        [Rect(("",))],
     ]
     rng = random.Random(3)
-
-    def rand_tree(leaves):
-        if leaves == 1:
-            return SplitLeaf()
-        left = rng.randint(1, leaves - 1)
-        return SplitNode(1, rand_tree(left), rand_tree(leaves - left))
-
-    patterns += [pattern_from_tree(rand_tree(rng.randint(2, 9)), 1) for _ in range(6)]
+    patterns += [
+        _random_leaves(rng, rng.randint(2, 9), Rect.cube(1)) for _ in range(6)
+    ]
     for p in patterns:
         grid = {pt[0] for pt in corners(p)}
         for w in all_words(6):

@@ -38,6 +38,7 @@ from nvcalc.ends_cocycle import (
     coset_of,
     coset_translate,
     f_P_probe,
+    failing_cylinders,
     in_H,
     in_X,
     properness_bound_check,
@@ -225,7 +226,8 @@ def test_member_budget_trips_before_any_member_is_built(monkeypatch):
     assert sym_diff_truncated(g, 5) == t
     monkeypatch.setattr(ends_cocycle, "MAX_MEMBERS", t.total - 1)
     with mock.patch("nvcalc.ends_cocycle._cylinder_levels") as expand:
-        with pytest.raises(ValueError, match=f"has {t.total} members, more than"):
+        message = f"^the truncation at depth 5 has more than {t.total - 1} members$"
+        with pytest.raises(ValueError, match=message):
             sym_diff_truncated(g, 5)
     assert not expand.called
     counts = cocycle_counts(g, 5)
@@ -241,6 +243,21 @@ def test_member_budget_never_counts_rectangles(monkeypatch):
     t = sym_diff_truncated(g, 5000)
     assert not spy.called
     assert t.total == sym_diff_truncated(g, 10).total and t.stable_depth is not None
+
+
+def test_count_paths_stop_at_their_limit():
+    """A growing truncation's sums stop once the total passes the caller's
+    limit: at depth 200,000 the exact total of ``Pb[0]`` (n = 2) would have
+    some 60,000 digits, and the error line would print them all."""
+    g, depth = eval_word("Pb[0]", 2), 200_000
+    budget = ends_cocycle.MAX_MEMBERS
+    message = f"^the truncation at depth {depth} has more than {budget} members$"
+    with pytest.raises(ValueError, match=message):
+        sym_diff_truncated(g, depth)
+    message = f"^the total at depth {depth} is too large for a float norm$"
+    with pytest.raises(ValueError, match=message):
+        cocycle_counts(g, depth)
+    assert ends_cocycle._level_sizes(*failing_cylinders(g, depth), depth, 10) is None
 
 
 def test_count_paths_stop_below_the_member_budget(monkeypatch):
@@ -446,6 +463,16 @@ def test_properness_growing_elements_become_findings():
 def test_properness_rejects_negative_radius():
     with pytest.raises(ValueError, match="ball radius"):
         properness_bound_check(1, -1)
+
+
+@pytest.mark.parametrize(
+    "depth, message", [(-1, "depth must be >= 0"), (2**18, "depth must be < ")]
+)
+def test_properness_rejects_a_depth_before_building_the_ball(depth, message):
+    with mock.patch("nvcalc.ends_cocycle._ball_elements") as ball:
+        with pytest.raises(ValueError, match=message):
+            properness_bound_check(1, 5, depth)
+    assert not ball.called
 
 
 # ---------------------------------------------------------------------------

@@ -12,8 +12,8 @@ import random
 from hypothesis import given, settings
 from hypothesis import strategies as st
 
-from nvcalc.dyadic_core import Rect, is_partition, rect_Il, rect_intersect, tree_leaves
-from nvcalc.element_algebra import _random_tree, random_element
+from nvcalc.dyadic_core import Rect, is_partition, rect_Il, rect_intersect
+from nvcalc.element_algebra import _random_leaves, random_element
 from nvcalc.ends_cocycle import (
     CosetRep,
     coset_of,
@@ -101,7 +101,7 @@ def rect_lists(draw):
     kind = draw(st.sampled_from(["tiling", "drop", "double", "move", "short"]))
     if kind == "short":
         return draw(st.lists(rects(n), max_size=3))
-    rs = tree_leaves(_random_tree(rng, draw(st.integers(1, 10)), n), n)
+    rs = _random_leaves(rng, draw(st.integers(1, 10)), Rect.cube(n))
     i = rng.randrange(len(rs))
     if kind == "drop":
         del rs[i]
