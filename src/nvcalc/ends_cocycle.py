@@ -619,20 +619,17 @@ def _ball_elements(
         letters.append((label, e))
         letters.append((f"({label})^-1", inverse(e)))
 
-    ident = identity(n)
-    seen: dict[Element, str] = {simplify(ident): ""}
+    ident = identity(n)  # one piece: already reduced
+    seen: dict[Element, str] = {ident: ""}
     frontier: list[tuple[str, Element]] = [("", ident)]
     for _ in range(radius):
         nxt: list[tuple[str, Element]] = []
         for label, e in frontier:
             for l_label, l_elem in letters:
-                new = compose(e, l_elem)
-                reduced = simplify(new)
-                if reduced in seen:
-                    continue
-                new_label = f"{label} {l_label}".strip()
-                seen[reduced] = new_label
-                nxt.append((new_label, new))
+                g = simplify(compose(e, l_elem))
+                if g not in seen:
+                    seen[g] = f"{label} {l_label}".strip()
+                    nxt.append((seen[g], g))
         frontier = nxt
     return [(label, g) for g, label in seen.items()]
 

@@ -417,10 +417,8 @@ def left_quarter(n: int) -> Rect:
 
 def gen_set_S1(n: int) -> list[tuple[str, Element]]:
     """Finite set S1: generators acting as the identity on the right half."""
-    out = [(f"X[{d},1]", make_X(d, 1, n)) for d in range(1, n + 1)]
-    out += [(f"C[{d},2]", make_C(d, 2, n)) for d in range(2, n + 1)]
-    out += [("P[3]", make_pi(3, n)), ("Pb[3]", make_pibar(3, n))]
-    return out
+    xs = [(f"X[{d},1]", make_X(d, 1, n)) for d in range(1, n + 1)]
+    return xs + gen_set_S1prime(n)
 
 
 def gen_set_S1prime(n: int) -> list[tuple[str, Element]]:

@@ -572,6 +572,95 @@ def test_json_output_pinned_across_commits(capsys, argv, digest):
     assert hashlib.sha256(out.encode()).hexdigest() == digest
 
 
+#: SHA-256 of the ``--format text`` stdout of every subcommand, on the
+#: README's commands (``simplify`` on a word: its README example reads a
+#: file).  Update a hash only with a change that means to change that text.
+PINNED_TEXT = {
+    "eval": (
+        ["eval", "--n", "1", "--word", "X[1,0] P[2]^-1"],
+        "34165971aca9ea4131bd4961d245ca4316c96a8a2cd119f63962846fe7604ab6",
+    ),
+    "equal": (
+        ["equal", "--n", "1", "--w1", "Pb[0] Pb[0]", "--w2", ""],
+        "465b5d17af7ecc1179b77787d06757942d57409510be4f1640dc396465c16234",
+    ),
+    "apply": (
+        ["apply", "--n", "2", "--word", "C[2,0]", "--point", "1/4,0"],
+        "f1e112609c38d4258450e7193101b9fa733ed41dab84b7aefa2417528b0846b7",
+    ),
+    "support": (
+        ["support", "--n", "1", "--word", "Pb[3]"],
+        "8085dcc5528f745c7604e0ba1a0531659c03df183a593ee064e829f1e2c2a785",
+    ),
+    "simplify": (
+        ["simplify", "--n", "2", "--word", "C[2,0] Pb[0]"],
+        "674743361e5d7788c0b31981baeb55b872ec48db642113a573649d7cb7e09ace",
+    ),
+    "relations": (
+        ["relations", "--n", "3", "--imax", "3"],
+        "8f6c3e41a85c3c2451a5a71174ba4ca219edb98fd2aa4de64028259d66c7cb5f",
+    ),
+    "corollaries": (
+        ["corollaries", "--n", "2"],
+        "a0240857341f36d5c0dbb89a7b191905690b3696ee2588ebb218b476061cb00e",
+    ),
+    "premises": (
+        ["premises", "--n", "3"],
+        "ac75bc576addde176bd52be0b9e3c8b28896340483d2c4c352cc6a64d46ec95f",
+    ),
+    "cocycle": (
+        ["cocycle", "--n", "1", "--word", "X[1,0]", "--depth", "8"],
+        "875e3d96edfe85dd4c16d74b17a7ce116c78e37abaa2f04ca6dd46fabb17b641",
+    ),
+    "probe": (
+        ["probe", "--n", "2", "--word", "Pb[0]", "--depths", "2..6"],
+        "dabd855f542da9acd69e14383ff13c6f7c8ce573ebde36b42e6a6d8c51ba0120",
+    ),
+    "fprobe": (
+        [
+            "fprobe", "--n", "2", "--word", "Pb[0]", "--depth", "2",
+            "--corner-mode", "closed",
+        ],
+        "5dfb389e1d9ef1844901f0a3bd4454ec0081c781f7d7d2b89a113d5da9b9fe5e",
+    ),
+    "properness": (
+        ["properness", "--n", "1", "--ball", "4"],
+        "18cb72b1a7f091acd91f70fbc691afbdefc4d8b7d184fc1cabc7f671466c4229",
+    ),
+    "random": (
+        ["random", "--n", "2", "--size", "6", "--seed", "7"],
+        "656241d7301132eb551e731beebafa3fd6b502001954b4218e4f046a8140102e",
+    ),
+}
+
+
+@pytest.mark.parametrize("argv, digest", PINNED_TEXT.values(), ids=list(PINNED_TEXT))
+def test_text_output_pinned_across_commits(capsys, argv, digest):
+    code, out, _ = run(capsys, argv + ["--format", "text"])
+    assert code == 0
+    assert hashlib.sha256(out.encode()).hexdigest() == digest
+
+
+def test_pins_cover_every_subcommand():
+    assert set(PINNED_TEXT) == set(cli.COMMANDS)
+
+
+@pytest.mark.parametrize(
+    "name, argv",
+    [
+        ("properness_bound_check", ["properness", "--n", "1", "--ball", "1"]),
+        ("relation_suite", ["relations", "--n", "1"]),
+    ],
+)
+def test_runners_look_up_library_functions_when_they_run(capsys, name, argv):
+    """A patch of ``nvcalc.cli.<name>`` (the benchmark tracer makes one)
+    reaches the call: no command row holds the function object itself."""
+    with mock.patch(f"nvcalc.cli.{name}", wraps=getattr(cli, name)) as spy:
+        code, out, _ = run(capsys, argv)
+    assert code == 0 and out
+    spy.assert_called_once()
+
+
 def test_envelope_shape(capsys):
     _, payload, _ = run_json(capsys, ["eval", "--n", "1", "--word", "P[0]"])
     assert set(payload) == {"tool", "version", "command", "config", "ok", "report"}

@@ -3,6 +3,7 @@
 import itertools
 import random
 from fractions import Fraction
+from unittest import mock
 
 import pytest
 from hypothesis import given, settings
@@ -270,6 +271,21 @@ def test_enumerate_rects_is_complete_and_deterministic(n, D):
 
     for k in range(1, D + 1):
         assert sum(1 for r in rects if r.depth == k) == comb(k + n - 1, n - 1) * 2**k
+
+
+def test_enumerate_rects_builds_without_validation():
+    """Its words are made from "01", so no rectangle it yields is checked
+    again; the order is total depth, then length vector, then words."""
+    with mock.patch.object(Rect, "__post_init__") as check:
+        rects = list(enumerate_rects(2, 4))
+    assert not check.called
+    ws = ["", *all_words(4)]
+    expected = sorted(
+        ((a, b) for a in ws for b in ws if 1 <= len(a) + len(b) <= 4),
+        key=lambda w: (len(w[0]) + len(w[1]), len(w[0]), w),
+    )
+    assert [r.words for r in rects] == expected
+    assert all(Rect(r.words) == r for r in rects)
 
 
 def test_enumerate_rects_argument_errors():
