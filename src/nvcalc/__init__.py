@@ -72,7 +72,6 @@ from nvcalc.ends_cocycle import (  # noqa: F401
     coset_of,
     coset_translate,
     f_P_probe,
-    in_H,
     in_X,
     properness_bound_check,
     rect_to_coset,

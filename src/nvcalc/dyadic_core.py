@@ -42,12 +42,6 @@ __all__ = [
 Point = tuple[Fraction, ...]
 
 
-def _check_word(w: str) -> str:
-    if not isinstance(w, str) or any(c not in "01" for c in w):
-        raise ValueError(f"binary word must be a str over '0'/'1', got {w!r}")
-    return w
-
-
 def word_interval(w: str) -> tuple[Fraction, Fraction]:
     """Half-open interval ``[lo, hi)`` encoded by ``w``; the empty word gives [0, 1)."""
     lo = Fraction(int(w or "0", 2), 2 ** len(w))
@@ -68,7 +62,8 @@ class Rect:
         if not self.words:
             raise ValueError("a rectangle needs at least one coordinate")
         for w in self.words:
-            _check_word(w)
+            if not isinstance(w, str) or any(c not in "01" for c in w):
+                raise ValueError(f"binary word must be a str over '0'/'1', got {w!r}")
 
     @classmethod
     def _trusted(cls, words: tuple[str, ...]) -> "Rect":
@@ -88,10 +83,6 @@ class Rect:
     @property
     def volume(self) -> Fraction:
         return Fraction(1, 2**self.depth)
-
-    def interval(self, d: int) -> tuple[Fraction, Fraction]:
-        """Half-open coordinate interval along 1-based coordinate ``d``."""
-        return word_interval(self.words[d - 1])
 
     def intervals(self) -> tuple[tuple[Fraction, Fraction], ...]:
         return tuple(word_interval(w) for w in self.words)

@@ -15,8 +15,8 @@ Words are checked at the boundary (the public ``Rect`` and ``AffinePiece``
 constructors, the word parser, JSON loading); rectangles and pieces cut from
 valid ones are built unchecked from words with ``_trusted``.  One word walk,
 ``_compose_pieces``, serves ``compose``, ``restrict``, ``equals`` and coset
-equality.  Candidate pieces come from each element's cached index by
-coordinate-1 domain word, except in tables of at most ``_SCAN_PIECES``
+equality.  Candidate pieces come from a halving tree over each element's
+domains, cached with it, except in tables of at most ``_SCAN_PIECES``
 pieces, which are scanned whole.
 
 Convention: ``compose(g, h)`` is the map "apply h first, then g" (so a word
@@ -110,12 +110,6 @@ class AffinePiece:
         """True iff the substitution fixes its domain pointwise."""
         return self.dom_words == self.ran_words
 
-    def slope_exponents(self) -> tuple[int, ...]:
-        """Per-coordinate slope exponents e_d with slope ``2**e_d``."""
-        return tuple(
-            len(u) - len(v) for u, v in zip(self.dom_words, self.ran_words)
-        )
-
     def apply_point(self, p: Point) -> Point:
         """Exact image of a point of the (half-open) domain."""
         out = []
@@ -167,36 +161,67 @@ class Element:
         return hash((self.dim, self.pieces))
 
     @cached_property
-    def _index(self) -> tuple[dict[str, list[AffinePiece]], list[str], int]:
-        """Pieces by coordinate-1 domain word, the sorted words, the longest."""
-        by_word: dict[str, list[AffinePiece]] = {}
-        for p in self.pieces:
-            by_word.setdefault(p.dom_words[0], []).append(p)
-        return by_word, sorted(by_word), max(map(len, by_word))
+    def _tree(self) -> list | tuple[AffinePiece, ...]:
+        """The halving tree over the domain pattern.  A node ``[d, k, lo, hi]``
+        halves its cell at letter k of coordinate d, which no piece in the cell
+        spans; the coordinate the cell is sorted by comes first, as it halves
+        by bisection.  A leaf is the tuple of the cell's pieces; a table of at
+        most ``_SCAN_PIECES`` pieces is one leaf.
+
+        A leaf holds several pieces only where no coordinate halves.  For
+        n <= 2 every cell of two or more disjoint pieces halves: a piece
+        spanning it in coordinate 1 and one spanning it in coordinate 2 would
+        meet.  For n = 3 the pinwheel ("", "0", "0"), ("0", "", "1"),
+        ("1", "1", ""), ("1", "0", "1"), ("0", "1", "0") does not."""
+        if len(self.pieces) <= _SCAN_PIECES:
+            return self.pieces
+        top: list = [None]
+        work = [(top, 0, sorted(self.pieces, key=_dom_words), (0,) * self.dim, 0)]
+        while work:  # each cell is sorted by its words in coordinate `by`
+            node, slot, cell, depths, by = work.pop()
+            for d in (by, *range(self.dim)) if len(cell) > 1 else ():
+                k = depths[d]
+                if d != by:
+                    if any(len(p.dom_words[d]) <= k for p in cell):
+                        continue
+                    cell = sorted(cell, key=lambda p: p.dom_words[d])
+                elif len(cell[0].dom_words[d]) <= k:  # shortest word sorts first
+                    continue
+                i = bisect_left(cell, "1", key=lambda p: p.dom_words[d][k])
+                node[slot] = child = [d, k, None, None]
+                sub = depths[:d] + (k + 1,) + depths[d + 1:]
+                work += ((child, 2, cell[:i], sub, d), (child, 3, cell[i:], sub, d))
+                break
+            else:
+                node[slot] = tuple(cell)
+        return top[0]
 
 
-#: Tables of at most this many pieces skip the index in ``_candidates``.
+#: Tables of at most this many pieces are one leaf, scanned whole.  On products
+#: of 1-4 letters of S (n = 1..3) composed with a letter or a product as large,
+#: with the tree built per call the scan took 0.6-0.98 of the tree's time at
+#: 3-6 pieces and 0.6-1.3 at 7-10; with it built, 1.3-2.7 (Python 3.11).
 _SCAN_PIECES = 6
 
 
-def _candidates(g: Element, w: str) -> Sequence[AffinePiece]:
-    """In table order, the pieces of ``g`` whose coordinate-1 domain word is a
-    prefix or an extension of ``w``: those that can meet coordinate-1 word w.
-
-    A table of at most ``_SCAN_PIECES`` pieces is returned whole, without the
-    index; the callers' word walks drop the pieces that miss.  Measured on
-    fresh products of 1-4 letters of S (n = 1..3) composed with a letter,
-    the scan took 0.84-1.02 of the index's time (index build included) at
-    3-6 pieces and 1.09-1.15 at 7-10 (Python 3.11)."""
-    if len(g.pieces) <= _SCAN_PIECES:
-        return g.pieces
-    by_word, keys, longest = g._index
-    out: list[AffinePiece] = []
-    for i in range(min(len(w), longest + 1)):
-        out += by_word.get(w[:i], ())
-    # Keys starting with w are exactly those in [w, w + "2"): "2" > "1".
-    for key in keys[bisect_left(keys, w) : bisect_left(keys, w + "2")]:
-        out += by_word[key]
+def _candidates(g: Element, words: tuple[str, ...]) -> Sequence[AffinePiece]:
+    """The pieces of ``g`` that may meet the rectangle ``words``: the leaves of
+    g's tree reached by following, at each node ``[d, k, lo, hi]``, the child
+    named by letter k of ``words[d]``, or both if the word has none.  For
+    n <= 2 above ``_SCAN_PIECES`` pieces these are exactly the pieces that
+    meet it; the callers' word walks drop the others."""
+    todo, out = [g._tree], []
+    while todo:
+        node = todo.pop()
+        while type(node) is list:
+            d, k, lo, hi = node
+            w = words[d]
+            if len(w) <= k:
+                todo.append(hi)
+                node = lo
+            else:
+                node = lo if w[k] == "0" else hi
+        out += node
     return out
 
 
@@ -243,7 +268,7 @@ def _compose_pieces(g: Element, pieces: Iterable[AffinePiece]) -> list[AffinePie
     trusted = AffinePiece._trusted
     for ph in pieces:
         hd, hr = ph.dom_words, ph.ran_words
-        for pg in _candidates(g, hr[0]):
+        for pg in _candidates(g, hr):
             dom, ran = [], []
             for a, r, u, b in zip(hd, hr, pg.dom_words, pg.ran_words):
                 if u.startswith(r):
@@ -268,15 +293,17 @@ def inverse(g: Element) -> Element:
 
 def apply(g: Element, p: Point) -> Point:
     """Exact image of a point of the half-open cube (no coordinate equals 1);
-    candidates are the pieces of g's coordinate-1 index that contain ``p[0]``."""
+    g's halving tree is descended by the point's bits, letter k of
+    coordinate d being bit k + 1 of ``p[d]``."""
     if len(p) != g.dim:
         raise ValueError(f"point dimension {len(p)} != element dimension {g.dim}")
-    if 0 <= p[0] < 1:
-        bits = g._index[2]
-        w = format(int(p[0] * 2**bits), f"0{bits}b") if bits else ""
-        for piece in _candidates(g, w):
-            if contains_point(piece.dom, p):
-                return piece.apply_point(p)
+    node = g._tree
+    while type(node) is list:
+        d, k, lo, hi = node
+        node = hi if p[d] * 2 ** (k + 1) % 2 >= 1 else lo
+    for piece in node:
+        if contains_point(piece.dom, p):
+            return piece.apply_point(p)
     raise ValueError(f"no piece contains {p}; element invalid or point outside cube")
 
 
@@ -323,7 +350,7 @@ def is_affine_on(g: Element, r: Rect) -> AffinePiece | None:
     if g.dim != r.dim:
         raise ValueError(f"dimension mismatch: {g.dim} vs {r.dim}")
     target = None
-    for piece in _candidates(g, r.words[0]):
+    for piece in _candidates(g, r.words):
         words, fits = [], True
         for w, u, v in zip(r.words, piece.dom_words, piece.ran_words):
             if u.startswith(w):  # the piece cuts w to u = w + s: v must be W + s

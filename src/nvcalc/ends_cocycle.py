@@ -93,7 +93,6 @@ __all__ = [
     "coset_translate",
     "f_P_probe",
     "failing_cylinders",
-    "in_H",
     "in_X",
     "properness_bound_check",
     "rect_to_coset",
@@ -136,11 +135,6 @@ def coset_translate(g: Element, c: CosetRep) -> CosetRep:
     if g.dim != c.n:
         raise ValueError(f"dimension mismatch: {g.dim} vs {c.n}")
     return CosetRep(c.n, merge_pieces(_compose_pieces(g, c.restriction)))
-
-
-def in_H(c: CosetRep) -> bool:
-    """Whether c = kH is the trivial coset, i.e. k fixes I_l pointwise."""
-    return all(p.is_trivial for p in c.restriction)
 
 
 def in_X(c: CosetRep) -> Rect | None:
@@ -671,6 +665,7 @@ def properness_bound_check(
     stable = growing = 0
     slack: Counter[int] = Counter()
     sizes: dict[Element, list[int]] = {}  # the ball holds g^{-1}: count it once
+    half = (10 ** (4300 // n) - 5) // 2  # each side: (total + 4)^n fits 4,300 digits
     for label, g in elements:  # g is reduced: its depth and size are final
         pieces, g_inv = len(g.pieces), inverse(g)
         words = (w for p in g.pieces for w in (p.dom_words, p.ran_words))
@@ -678,7 +673,9 @@ def properness_bound_check(
         d = depth if depth is not None else table_depth + 1  # also g^{-1}'s
         for h in (g_inv, g):
             if h not in sizes:
-                sizes[h] = _level_sizes(*failing_cylinders(h, d), d)
+                sizes[h] = _level_sizes(*failing_cylinders(h, d), d, half)
+                if sizes[h] is None:
+                    raise ValueError(f"the total at depth {d} is too large to report")
         counts = _counts(sizes[g_inv], sizes[g])
         total = counts[-1]
         bound = (total + 4) ** n

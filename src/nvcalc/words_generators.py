@@ -29,7 +29,7 @@ import re
 from dataclasses import dataclass
 from functools import lru_cache
 from math import isqrt
-from typing import Iterator
+from typing import Callable
 
 from nvcalc.dyadic_core import Rect, rect_Ir
 from nvcalc.element_algebra import (
@@ -101,12 +101,6 @@ class Word:
     """A formal product of generator symbols; the empty word is the identity."""
 
     symbols: tuple[GenSymbol, ...] = ()
-
-    def __len__(self) -> int:
-        return len(self.symbols)
-
-    def __iter__(self) -> Iterator[GenSymbol]:
-        return iter(self.symbols)
 
 
 _TERM_RE = re.compile(
@@ -266,13 +260,14 @@ def eval_word(word: Word | str, n: int) -> Element:
     if isinstance(word, str):
         word = parse_word(word)
     acc = identity(n)
-    for sym in word.symbols:
-        # e**k by repeated squaring: composing tables is associative table for
-        # table, so acc gets the same table as from k single compositions.
+    for sym in reversed(word.symbols):
+        # e**k by repeated squaring, folded in from the left: composing is
+        # associative table for table, and the left factor, whose tree is
+        # built, is e or a square of it, never the fresh accumulator.
         e, k = _symbol_element(sym, n), abs(sym.exp)
         while k:
             if k & 1:
-                acc = compose(acc, e)
+                acc = compose(e, acc)
             k >>= 1
             if k:
                 e = compose(e, e)
@@ -281,6 +276,13 @@ def eval_word(word: Word | str, n: int) -> Element:
 
 def _words_equal(lhs: str, rhs: str, n: int) -> bool:
     return equals(eval_word(lhs, n), eval_word(rhs, n))
+
+
+def _identity_adder(report: CheckReport, n: int) -> Callable[[str, str, str], None]:
+    """``add(section, lhs, rhs)``: append the check that two words are equal."""
+    return lambda section, lhs, rhs: report.checks.append(
+        CheckResult(section, f"{lhs} = {rhs}", _words_equal(lhs, rhs, n))
+    )
 
 
 def relation_suite(n: int, i_max: int = 3) -> CheckReport:
@@ -303,11 +305,7 @@ def relation_suite(n: int, i_max: int = 3) -> CheckReport:
     dps = range(2, n + 1)
     idx = range(0, i_max + 1)
 
-    def add(section: str, lhs: str, rhs: str) -> None:
-        report.checks.append(
-            CheckResult(section, f"{lhs} = {rhs}", _words_equal(lhs, rhs, n))
-        )
-
+    add = _identity_adder(report, n)
     for i in idx:
         for j in idx:
             if not i < j:
@@ -344,6 +342,12 @@ def relation_suite(n: int, i_max: int = 3) -> CheckReport:
     return report
 
 
+def _x0_conjugate(d: int, k: int, middle: str) -> str:
+    """The word ``X[d,0]^-k middle X[d,0]^k``, with no exponent 1 written."""
+    exp, exp2 = ("" if e == 1 else f"^{e}" for e in (-k, k))
+    return f"X[{d},0]{exp} {middle} X[{d},0]{exp2}"
+
+
 def corollary_checks(n: int, i_max: int = 4) -> CheckReport:
     """Conjugation identities raising indices, and the two recoveries.
 
@@ -359,11 +363,7 @@ def corollary_checks(n: int, i_max: int = 4) -> CheckReport:
     _check_index(i_max, note)  # X[d,i_max]
     report = CheckReport("corollary_checks", n, {"i_max": i_max})
 
-    def add(section: str, lhs: str, rhs: str) -> None:
-        report.checks.append(
-            CheckResult(section, f"{lhs} = {rhs}", _words_equal(lhs, rhs, n))
-        )
-
+    add = _identity_adder(report, n)
     for d in range(1, n + 1):
         for i in range(2, i_max + 1):
             k = i - 1
@@ -377,27 +377,13 @@ def corollary_checks(n: int, i_max: int = 4) -> CheckReport:
             for i in (1, 2, 4, 5):
                 if i > i_max + 1:
                     continue
-                k = i - 3
-                exp = f"^{-k}" if -k != 1 else ""
-                exp2 = f"^{k}" if k != 1 else ""
-                add(
-                    f"{y}_conjugation",
-                    f"{y}[{i}]",
-                    f"X[{d},0]{exp} {y}[3] X[{d},0]{exp2}",
-                )
+                add(f"{y}_conjugation", f"{y}[{i}]", _x0_conjugate(d, i - 3, f"{y}[3]"))
     for dp in range(2, n + 1):
         for d in range(1, n + 1):
             for i in (1, 3, 4):
                 if i > i_max:
                     continue
-                k = i - 2
-                exp = f"^{-k}" if -k != 1 else ""
-                exp2 = f"^{k}" if k != 1 else ""
-                add(
-                    "C_conjugation",
-                    f"C[{dp},{i}]",
-                    f"X[{d},0]{exp} C[{dp},2] X[{d},0]{exp2}",
-                )
+                add("C_conjugation", f"C[{dp},{i}]", _x0_conjugate(d, i - 2, f"C[{dp},2]"))
     add("Pb0_recovery", "Pb[0]", "P[0] Pb[1] X[1,0]^-1")
     add("Pb0_recovery", "Pb[0]", "P[0] X[1,0]^2 Pb[3] X[1,0]^-3")
     for dp in range(2, n + 1):

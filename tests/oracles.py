@@ -14,7 +14,8 @@ coset pair compared by the word walk, the reference for the memoised one.
 half-cube stabiliser H that only tests use: copies of an element inside one
 coordinate-1 half, and the checks that such copies commute, that a
 right-half copy lies in H, and that conjugating one by ``X[1,1]`` keeps it
-in H (through ``in_H(coset_of(...))``).
+in H (through ``in_H(coset_of(...))``).  ``in_H`` and ``slope_exponents``
+are the membership test for H and a piece's slopes, which only tests use.
 """
 
 from __future__ import annotations
@@ -32,7 +33,7 @@ from nvcalc.element_algebra import (
     inverse,
     random_element,
 )
-from nvcalc.ends_cocycle import CosetRep, coset_of, coset_translate, in_H
+from nvcalc.ends_cocycle import CosetRep, coset_of, coset_translate
 from nvcalc.reporting import CheckReport, CheckResult
 from nvcalc.words_generators import make_X
 
@@ -94,6 +95,16 @@ def image_of(piece: AffinePiece, sub: Rect) -> Rect:
 def restrict_to(piece: AffinePiece, sub: Rect) -> AffinePiece:
     """The same map, restricted to a rectangle nested in the domain."""
     return AffinePiece(sub, image_of(piece, sub))
+
+
+def slope_exponents(piece: AffinePiece) -> tuple[int, ...]:
+    """Per-coordinate slope exponents e_d with slope ``2**e_d``."""
+    return tuple(len(u) - len(v) for u, v in zip(piece.dom_words, piece.ran_words))
+
+
+def in_H(c: CosetRep) -> bool:
+    """Whether c = kH is the trivial coset, i.e. k fixes I_l pointwise."""
+    return all(p.is_trivial for p in c.restriction)
 
 
 def affine_extension(

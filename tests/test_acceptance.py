@@ -58,6 +58,7 @@ from nvcalc.words_generators import (
     premise_checks,
     relation_suite,
 )
+from oracles import slope_exponents
 
 F = Fraction
 
@@ -78,11 +79,11 @@ def one_dim_not_substitution(g, w):
     lo, hi = word_interval(w)
     subs = []
     for p in g.pieces:
-        plo, phi = p.dom.interval(1)
+        plo, phi = p.dom.intervals()[0]
         a, b = max(lo, plo), min(hi, phi)
         if a < b:
-            slope = F(2) ** p.slope_exponents()[0]
-            qlo = p.ran.interval(1)[0]
+            slope = F(2) ** slope_exponents(p)[0]
+            qlo = p.ran.intervals()[0][0]
             subs.append((a, b, slope, qlo + (a - plo) * slope))
     subs.sort()
     slope0 = subs[0][2]
@@ -330,7 +331,7 @@ def test_criterion_7_halfswap_growth_in_two_dimensions():
         straddlers = {
             r.words
             for r in enumerate_rects(2, D)
-            if r.interval(1)[0] < F(1, 2) < r.interval(1)[1]
+            if r.intervals()[0][0] < F(1, 2) < r.intervals()[0][1]
         }
         assert len(straddlers) == 2 ** (D + 1) - 2
         assert {m.words for m in t.out_side} == straddlers

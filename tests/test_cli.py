@@ -139,6 +139,10 @@ def test_library_value_error_exit_two(capsys, argv):
             ["probe", "--n", "1", "--word", "X[1,0]", "--depths", "0..2000"],
             f"error: depths 0..2000 would write 2003001 counts, more than {MAX_MEMBERS}\n",
         ),
+        (
+            ["properness", "--n", "2", "--ball", "1", "--depth", "15000"],
+            "error: the total at depth 15000 is too large to report\n",
+        ),
     ],
     ids=[
         "properness-ball",
@@ -155,13 +159,15 @@ def test_library_value_error_exit_two(capsys, argv):
         "fprobe-depth",
         "cocycle-count-depth",
         "probe-count-budget",
+        "properness-total",
     ],
 )
 def test_boundary_inputs_exit_two(capsys, argv, message):
     """Inputs that once gave a silent wrong answer (the radius-0 ball, a
     suite without its X_conjugation section) or an internal error, and
     inputs past a size limit (a total too large for a float norm, a
-    6.4e9-member list, a generator index of 10^8 whose table costs i^2 to
+    6.4e9-member list, a properness label past Python's 4,300-digit integer
+    printing limit, a generator index of 10^8 whose table costs i^2 to
     build, a relation suite reaching index 100001, rejected before its first
     identity, a 2^41-rectangle enumeration, more than ``MAX_MEMBERS``
     counts).  A suite's index error names the largest i_max allowed; those

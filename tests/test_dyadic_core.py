@@ -81,8 +81,6 @@ def test_rect_basic_properties():
     assert r.dim == 2
     assert r.depth == 3
     assert r.volume == F(1, 8)
-    assert r.interval(1) == (F(1, 4), F(1, 2))
-    assert r.interval(2) == (F(1, 2), F(1))
     assert r.intervals() == ((F(1, 4), F(1, 2)), (F(1, 2), F(1)))
 
 

@@ -35,7 +35,7 @@ from nvcalc.element_algebra import (
     support,
     validate,
 )
-from oracles import affine_extension, image_of, restrict_to
+from oracles import affine_extension, image_of, restrict_to, slope_exponents
 
 F = Fraction
 
@@ -61,7 +61,7 @@ def test_piece_basic_properties():
     p = AffinePiece(Rect(("00", "")), Rect(("0", "1")))
     assert p.dim == 2
     assert not p.is_trivial
-    assert p.slope_exponents() == (1, -1)
+    assert slope_exponents(p) == (1, -1)
     assert AffinePiece(Rect(("01",)), Rect(("01",))).is_trivial
     with pytest.raises(ValueError):
         AffinePiece(Rect(("0",)), Rect(("0", "")))

@@ -39,14 +39,13 @@ from nvcalc.ends_cocycle import (
     coset_translate,
     f_P_probe,
     failing_cylinders,
-    in_H,
     in_X,
     properness_bound_check,
     rect_to_coset,
     sym_diff_truncated,
 )
 from nvcalc.words_generators import eval_word, gen_set_S, make_X, make_pi, make_pibar
-from oracles import embed_in_half, normalizer_commutation_check
+from oracles import embed_in_half, in_H, normalizer_commutation_check
 
 F = Fraction
 
@@ -473,6 +472,18 @@ def test_properness_rejects_a_depth_before_building_the_ball(depth, message):
         with pytest.raises(ValueError, match=message):
             properness_bound_check(1, 5, depth)
     assert not ball.called
+
+
+def test_properness_totals_stop_before_a_label_passes_4300_digits():
+    """Each side's total is capped so that ``(total + 4)^n`` prints within
+    Python's default 4,300-digit int-to-str limit.  At n = 2 and radius 1,
+    depth 7,139 still reports (its growing labels print totals of over 2,000
+    digits) and depth 7,140 is rejected, naming the depth."""
+    rep = properness_bound_check(2, 1, 7139)
+    assert max(len(c.label) for c in rep.checks) > 2000
+    assert json.dumps(rep.to_dict())
+    with pytest.raises(ValueError, match="the total at depth 7140 is too large"):
+        properness_bound_check(2, 1, 7140)
 
 
 # ---------------------------------------------------------------------------

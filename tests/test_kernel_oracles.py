@@ -4,9 +4,10 @@ The reference functions below are the all-pairs ``compose`` through
 ``rect_intersect`` and ``image_of``, the linear-scan ``restrict`` and
 ``apply``, the rectangle-level ``coset_eq``, the restart-after-every-merge
 ``merge_pieces`` and the one-compose-per-unit ``eval_word``.  The fast paths
-(the word-tuple kernel, with or without the coordinate-1 index) must give the
-same piece tables (``==``, not just ``equals``), the same points and the same
-verdicts.
+(the word-tuple kernel, with or without the halving tree over an element's
+domains) must give the same piece tables (``==``, not just ``equals``), the
+same points and the same verdicts.  The tree's candidates are checked against
+``rect_intersect`` directly.
 """
 
 import json
@@ -22,12 +23,14 @@ from nvcalc.element_algebra import (
     _SCAN_PIECES,
     AffinePiece,
     Element,
+    _candidates,
     _compose_pieces,
     _dom_words,
     _merge_partner,
     apply,
     compose,
     element_from_json,
+    equals,
     element_to_json,
     expansion,
     identity,
@@ -317,6 +320,115 @@ def test_merge_pieces_matches_restart_scan(spec):
         restrict(fine, random_rect(rng, g.dim)),
     ):
         assert merge_pieces(pieces) == merge_pieces_restart(pieces)
+
+
+def meeting(e, r):
+    """The pieces of ``e`` whose domains meet ``r``, by ``rect_intersect``."""
+    return {p for p in e.pieces if rect_intersect(p.dom, r) is not None}
+
+
+def leaf_sizes(e):
+    """The number of pieces in each leaf of ``e``'s halving tree."""
+    todo, sizes = [e._tree], []
+    while todo:
+        node = todo.pop()
+        if type(node) is list:
+            todo += node[2:]
+        else:
+            sizes.append(len(node))
+    return sorted(sizes)
+
+
+def near_rect(rng, words):
+    """A rectangle whose word in each coordinate is a prefix or an extension
+    of that coordinate's word in ``words``."""
+    return Rect(
+        tuple(
+            w[: rng.randint(0, len(w))]
+            if rng.random() < 0.5
+            else w + "".join(rng.choice("01") for _ in range(rng.randint(0, 3)))
+            for w in words
+        )
+    )
+
+
+@given(st.integers(0, 10**6), st.integers(1, 3), around_cut_off, st.integers(0, 24))
+@settings(max_examples=150, deadline=None)
+def test_candidates_hold_every_piece_that_meets_the_query(seed, n, size, expansions):
+    """Random and refined tables on both sides of ``_SCAN_PIECES``, queried
+    with random rectangles and with rectangles around a piece's domain: no
+    piece that meets the query is missing or repeated.  For n <= 2 above the
+    cut-off every leaf holds one piece and no other piece is returned."""
+    rng, g, fine = build(seed, n, size, expansions)
+    for e in (g, fine):
+        queries = [random_rect(rng, n) for _ in range(6)]
+        queries += [near_rect(rng, rng.choice(e.pieces).dom_words) for _ in range(6)]
+        exact = n <= 2 and len(e.pieces) > _SCAN_PIECES
+        if exact:
+            assert leaf_sizes(e) == [1] * len(e.pieces)
+        for r in queries:
+            got = _candidates(e, r.words)
+            assert len(set(got)) == len(got)
+            assert meeting(e, r) <= set(got)
+            if exact:
+                assert set(got) == meeting(e, r)
+
+
+#: Five 3-D cells that tile the cube and span it in coordinates 1, 2 and 3
+#: (the first three), so no coordinate of the pattern can be halved.
+PINWHEEL = (("", "0", "0"), ("0", "", "1"), ("1", "1", ""), ("1", "0", "1"), ("0", "1", "0"))
+
+
+def pinwheel_element(rng, embedded):
+    """An element whose domains are the pinwheel, or the pinwheel inside the
+    half x_1 < 1/2 beside the cell ("1", "", ""), expanded past
+    ``_SCAN_PIECES`` pieces but never in a coordinate that one of its pieces
+    spans, so that the pinwheel's cell stays one leaf of the tree."""
+    cell = ("0", "", "") if embedded else ("", "", "")
+    doms = [(cell[0] + a, b, c) for a, b, c in PINWHEEL]
+    doms += [("1", "", "")] if embedded else []
+    rans = random_element(3, len(doms), rng).pieces
+    g = Element.from_pieces(AffinePiece(Rect(d), p.ran) for d, p in zip(doms, rans))
+    target = _SCAN_PIECES + rng.randint(1, 12)
+    while len(g.pieces) < target:
+        i, d = rng.choice(
+            [
+                (i, d)
+                for i, p in enumerate(g.pieces)
+                for d in range(3)
+                if len(p.dom_words[d]) > len(cell[d])
+            ]
+        )
+        g = expansion(g, i, d + 1)
+    return g
+
+
+@pytest.mark.parametrize("embedded", [False, True], ids=["top", "embedded"])
+@given(seed=st.integers(0, 10**6))
+@settings(max_examples=40, deadline=None)
+def test_the_pinwheel_leaf_through_every_kernel_path(embedded, seed):
+    """A leaf of several pieces, which only n >= 3 allows: ``compose``,
+    ``equals``, ``restrict``, ``is_affine_on`` and ``apply`` on a pinwheel
+    table agree with the all-pairs compose and the rectangle scans."""
+    rng = random.Random(seed)
+    g = pinwheel_element(rng, embedded)
+    assert leaf_sizes(g)[-1] >= len(PINWHEEL)
+    h = refined(random_element(3, rng.randint(1, 24), rng), rng, rng.randint(0, 12))
+    for a, b in ((g, h), (h, g), (g, inverse(g)), (inverse(h), g)):
+        assert compose(a, b) == compose_all_pairs(a, b)
+    for other in (h, refined(g, rng, 6), pinwheel_element(rng, embedded)):
+        trivial = all(p.is_trivial for p in compose_all_pairs(g, inverse(other)).pieces)
+        assert equals(g, other) == trivial
+    assert equals(g, refined(g, rng, 6))
+    for _ in range(12):
+        for r in (near_rect(rng, rng.choice(g.pieces).dom_words), random_rect(rng, 3)):
+            assert meeting(g, r) <= set(_candidates(g, r.words))
+            assert restrict(g, r) == restrict_linear(g, r)
+            assert is_affine_on(g, r) == affine_extension(restrict_linear(g, r), r)
+        p = random_point(rng, 3)
+        q = tuple(Fraction(rng.randrange(1, 61), 61) for _ in range(3))
+        for x in (p, q):
+            assert apply(g, x) == apply_linear(g, x)
 
 
 def test_powers_by_squaring_match_the_per_exponent_loop():

@@ -67,8 +67,8 @@ def test_parse_format_roundtrip():
     text = "X[1,0]^-1 C[2,2] P[3]^2 Pb[0]"
     w = parse_word(text)
     assert format_word(w) == text
-    assert [s.kind for s in w] == ["X", "C", "P", "Pb"]
-    assert [s.exp for s in w] == [-1, 1, 2, 1]
+    assert [s.kind for s in w.symbols] == ["X", "C", "P", "Pb"]
+    assert [s.exp for s in w.symbols] == [-1, 1, 2, 1]
     assert parse_word(format_word(w)) == w
 
 
