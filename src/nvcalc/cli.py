@@ -58,6 +58,10 @@ def _parse_point(text: str, n: int) -> Point:
         raise UsageError(f"point has {len(parts)} coordinates, expected {n}")
     coords = []
     for p in parts:
+        # Fraction expands 10**exponent: bound it as Python bounds int digits
+        exponent = p.lower().partition("e")[2].lstrip("+-").replace("_", "").lstrip("0")
+        if exponent.isdecimal() and (len(exponent) > 4 or int(exponent) > 4300):
+            raise UsageError(f"coordinate {p!r}: exponent above 4300")
         try:
             x = Fraction(p)
         except (ValueError, ZeroDivisionError) as exc:
@@ -97,7 +101,7 @@ def _load_element(args: argparse.Namespace) -> Element:
                 g = element_from_json(fh.read())
         except OSError as exc:
             raise UsageError(f"cannot read element file: {exc}") from exc
-        except (ValueError, KeyError, TypeError) as exc:
+        except (ValueError, KeyError, TypeError, RecursionError) as exc:
             raise UsageError(f"bad element file: {exc}") from exc
         if not validate(g):
             raise UsageError("bad element file: pieces do not partition the cube")

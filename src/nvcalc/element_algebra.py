@@ -16,8 +16,7 @@ constructors, the word parser, JSON loading); rectangles and pieces cut from
 valid ones are built unchecked from words with ``_trusted``.  One word walk,
 ``_compose_pieces``, serves ``compose``, ``restrict``, ``equals`` and coset
 equality.  Candidate pieces come from a halving tree over each element's
-domains, cached with it, except in tables of at most ``_SCAN_PIECES``
-pieces, which are scanned whole.
+domains, cached with it.
 
 Convention: ``compose(g, h)`` is the map "apply h first, then g" (so a word
 written ``g h`` acts on the cube through its right factor first).  This is the
@@ -165,16 +164,13 @@ class Element:
         """The halving tree over the domain pattern.  A node ``[d, k, lo, hi]``
         halves its cell at letter k of coordinate d, which no piece in the cell
         spans; the coordinate the cell is sorted by comes first, as it halves
-        by bisection.  A leaf is the tuple of the cell's pieces; a table of at
-        most ``_SCAN_PIECES`` pieces is one leaf.
+        by bisection.  A leaf is the tuple of the cell's pieces.
 
         A leaf holds several pieces only where no coordinate halves.  For
         n <= 2 every cell of two or more disjoint pieces halves: a piece
         spanning it in coordinate 1 and one spanning it in coordinate 2 would
         meet.  For n = 3 the pinwheel ("", "0", "0"), ("0", "", "1"),
         ("1", "1", ""), ("1", "0", "1"), ("0", "1", "0") does not."""
-        if len(self.pieces) <= _SCAN_PIECES:
-            return self.pieces
         top: list = [None]
         work = [(top, 0, sorted(self.pieces, key=_dom_words), (0,) * self.dim, 0)]
         while work:  # each cell is sorted by its words in coordinate `by`
@@ -197,19 +193,12 @@ class Element:
         return top[0]
 
 
-#: Tables of at most this many pieces are one leaf, scanned whole.  On products
-#: of 1-4 letters of S (n = 1..3) composed with a letter or a product as large,
-#: with the tree built per call the scan took 0.6-0.98 of the tree's time at
-#: 3-6 pieces and 0.6-1.3 at 7-10; with it built, 1.3-2.7 (Python 3.11).
-_SCAN_PIECES = 6
-
-
 def _candidates(g: Element, words: tuple[str, ...]) -> Sequence[AffinePiece]:
     """The pieces of ``g`` that may meet the rectangle ``words``: the leaves of
     g's tree reached by following, at each node ``[d, k, lo, hi]``, the child
     named by letter k of ``words[d]``, or both if the word has none.  For
-    n <= 2 above ``_SCAN_PIECES`` pieces these are exactly the pieces that
-    meet it; the callers' word walks drop the others."""
+    n <= 2 these are exactly the pieces that meet it; the callers' word walks
+    drop the others."""
     todo, out = [g._tree], []
     while todo:
         node = todo.pop()
@@ -375,30 +364,15 @@ def is_identity_on(g: Element, r: Rect) -> bool:
     return ext is not None and ext.is_trivial
 
 
-def _half_pair(xs: tuple[str, ...], ys: tuple[str, ...]) -> int | None:
-    """The one coordinate where xs, ys differ, if they are its 0- and 1-halves."""
-    diff = [d for d, (x, y) in enumerate(zip(xs, ys)) if x != y]
-    if len(diff) != 1:
-        return None
-    x, y = xs[diff[0]], ys[diff[0]]
-    return diff[0] if x[:-1] == y[:-1] and x[-1:] + y[-1:] == "01" else None
-
-
-def _merge_partner(a: AffinePiece, b: AffinePiece) -> AffinePiece | None:
-    """Merge two pieces whose domains and ranges are matching half-pairs.
-
-    Mergeable iff there is one coordinate d where the domains are the two
-    halves of a common rectangle (equal elsewhere) and the ranges are the two
-    halves of a common rectangle *in the same coordinate and order*; the
-    merged substitution then restricts back to both inputs.
-    """
-    d = _half_pair(a.dom_words, b.dom_words)
-    if d is None or d != _half_pair(a.ran_words, b.ran_words):
-        return None
+def _merge_partner(a: AffinePiece, b: AffinePiece, d: int) -> AffinePiece | None:
+    """Merge two pieces whose domains are the 0- and 1-halves of a rectangle in
+    coordinate d, if their ranges are the same halves of a rectangle in the
+    same coordinate; the merged substitution restricts back to both inputs."""
     u, v = a.dom_words, a.ran_words
-    return AffinePiece._trusted(
-        u[:d] + (u[d][:-1],) + u[d + 1:], v[:d] + (v[d][:-1],) + v[d + 1:]
-    )
+    w = v[d][:-1]
+    if v[d] != w + "0" or b.ran_words != v[:d] + (w + "1",) + v[d + 1:]:
+        return None
+    return AffinePiece._trusted(u[:d] + (u[d][:-1],) + u[d + 1:], v[:d] + (w,) + v[d + 1:])
 
 
 def merge_pieces(pieces: Iterable[AffinePiece]) -> tuple[AffinePiece, ...]:
@@ -424,7 +398,7 @@ def merge_pieces(pieces: Iterable[AffinePiece]) -> tuple[AffinePiece, ...]:
         for d, w in enumerate(key):
             sibling_key = key[:d] + (w[:-1] + "1",) + key[d + 1:]
             if w.endswith("0") and sibling_key in current:
-                merged = _merge_partner(current[key], current[sibling_key])
+                merged = _merge_partner(current[key], current[sibling_key], d)
                 if merged is not None:
                     break
         else:
@@ -444,7 +418,7 @@ def merge_pieces(pieces: Iterable[AffinePiece]) -> tuple[AffinePiece, ...]:
 
 def simplify(g: Element) -> Element:
     """Equal element with greedily merged pieces (unique reduced form if 1-D)."""
-    return Element.from_pieces(merge_pieces(g.pieces))
+    return Element(g.dim, merge_pieces(g.pieces))
 
 
 def support(g: Element) -> tuple[Rect, ...]:
@@ -486,8 +460,8 @@ def random_element(n: int, size: int, seed: int | random.Random) -> Element:
     ``size`` cells each, and a random pairing."""
     if n < 1:
         raise ValueError("dimension must be >= 1")
-    if size < 1:
-        raise ValueError("size must be >= 1")
+    if not 1 <= size <= MAX_PIECES:
+        raise ValueError(f"size must be in 1..{MAX_PIECES}")
     rng = seed if isinstance(seed, random.Random) else random.Random(seed)
     doms = _random_leaves(rng, size, Rect.cube(n))
     rans = _random_leaves(rng, size, Rect.cube(n))

@@ -653,6 +653,11 @@ def properness_bound_check(
         raise ValueError("ball radius must be >= 0")
     if depth is not None:
         _check_depth(depth)  # before the ball, which costs far more
+    size, sphere = 1, 6 * n + 4  # the free group's ball: L = 6n + 4 letters in
+    for _ in range(ball_radius):  # S ∪ S^-1 give L (L - 1)^(r - 1) words of length r
+        size, sphere = size + sphere, sphere * (6 * n + 3)
+        if size > MAX_MEMBERS:
+            raise ValueError(f"ball radius {ball_radius}: over {MAX_MEMBERS} words")
     report = CheckReport(
         "properness_bound",
         n,

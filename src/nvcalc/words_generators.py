@@ -455,7 +455,8 @@ def premise_checks(n: int) -> CheckReport:
                 is_identity_on(e, right_half),
             )
         )
-    for label, e in gen_set_S2(n):
+    s2 = gen_set_S2(n)
+    for label, e in s2:
         report.checks.append(
             CheckResult(
                 "identity_on_left_quarter",
@@ -464,9 +465,8 @@ def premise_checks(n: int) -> CheckReport:
             )
         )
     s1p = gen_set_S1prime(n)
-    for d in range(1, n + 1):
-        w_label = f"X[{d},1] X[{d},0]^-1"
-        w = eval_word(w_label, n)
+    *quotients, (_, p0) = s2  # the X[d,1] X[d,0]^-1, then P[0]
+    for w_label, w in quotients:
         for z_label, z in s1p:
             report.checks.append(
                 CheckResult(
@@ -475,7 +475,6 @@ def premise_checks(n: int) -> CheckReport:
                     equals(compose(w, z), compose(z, w)),
                 )
             )
-    p0 = make_pi(0, n)
     for z_label, z in gen_set_S1(n):
         commutes = equals(compose(p0, z), compose(z, p0))
         in_s1prime = not z_label.startswith("X")

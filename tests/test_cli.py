@@ -2,6 +2,7 @@
 
 import hashlib
 import json
+import time
 from unittest import mock
 
 import pytest
@@ -185,6 +186,47 @@ def test_word_past_the_piece_budget_exits_two(capsys):
     assert code == 2
     assert out == ""
     assert err == f"error: a composition would exceed {MAX_PIECES} pieces\n"
+
+
+APPLY_X = ["apply", "--n", "1", "--word", "X[1,0]", "--point"]
+
+
+@pytest.mark.parametrize(
+    "argv, message",
+    [
+        (APPLY_X + ["1e-99999999"], "exponent above 4300"),
+        (APPLY_X + ["1e-9999999999"], "exponent above 4300"),
+        (["random", "--n", "1", "--size", "200000"], f"size must be in 1..{MAX_PIECES}"),
+        (["properness", "--n", "1", "--ball", "100"], f"over {MAX_MEMBERS} words"),
+        (["properness", "--n", "1", "--ball", "6"], f"over {MAX_MEMBERS} words"),
+        (["eval", "--element-file", "NESTED"], "bad element file: maximum recursion"),
+    ],
+    ids=["point-exp-8", "point-exp-10", "random-size", "ball-100", "ball-6", "nested"],
+)
+def test_unbounded_inputs_exit_two_at_once(tmp_path, capsys, argv, message):
+    """Inputs whose cost had no bound: a point whose exponent ``Fraction``
+    expands digit by digit, a random table past ``MAX_PIECES``, a word ball
+    whose free-group bound passes ``MAX_MEMBERS``, and an element file
+    nested past the recursion limit (once a traceback)."""
+    nested = tmp_path / "nested.json"
+    nested.write_text("[" * 200_000, encoding="utf-8")
+    argv = [str(nested) if a == "NESTED" else a for a in argv]
+    start = time.perf_counter()
+    code, out, err = run(capsys, argv)
+    assert time.perf_counter() - start < 1
+    assert code == 2
+    assert out == ""
+    assert err.startswith("error: ") and message in err
+    assert err.count("\n") == 1
+
+
+@pytest.mark.parametrize(
+    "point, value", [("2.5e-1", "1/4"), ("25E-2", "1/4"), ("1e-0004", "1/10000")]
+)
+def test_apply_point_with_an_exponent(capsys, point, value):
+    code, payload, _ = run_json(capsys, APPLY_X + [point])
+    assert code == 0
+    assert payload["report"]["point"] == [value]
 
 
 # ---------------------------------------------------------------------------

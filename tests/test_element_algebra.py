@@ -333,6 +333,8 @@ def test_random_element_deterministic_and_valid():
         random_element(1, 0, 0)
     with pytest.raises(ValueError, match="dimension must be >= 1"):
         random_element(0, 6, 0)
+    with pytest.raises(ValueError, match="size must be in"):
+        random_element(1, element_algebra.MAX_PIECES + 1, 0)
 
 
 def test_random_element_accepts_shared_rng():

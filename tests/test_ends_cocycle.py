@@ -459,6 +459,27 @@ def test_properness_growing_elements_become_findings():
     assert all(not c.asserted for c in rep.findings)
 
 
+@pytest.mark.parametrize(
+    "n, radius, ok",
+    [
+        (1, 5, True),
+        (1, 6, False),
+        (2, 4, True),
+        (2, 5, False),
+        (3, 4, True),
+        (3, 5, False),
+        (1, 10**18, False),
+    ],
+)
+def test_properness_bounds_the_ball_before_building_it(n, radius, ok):
+    """The free group's ball over the 6n + 4 letters of S ∪ S^-1 (73,811
+    words at n = 1, R = 5; 664,301 at R = 6) must hold at most
+    ``MAX_MEMBERS`` words."""
+    with mock.patch("nvcalc.ends_cocycle._ball_elements", side_effect=StopIteration):
+        with pytest.raises(StopIteration if ok else ValueError):
+            properness_bound_check(n, radius)
+
+
 def test_properness_rejects_negative_radius():
     with pytest.raises(ValueError, match="ball radius"):
         properness_bound_check(1, -1)

@@ -20,7 +20,6 @@ from hypothesis import strategies as st
 
 from nvcalc.dyadic_core import Rect, contains_point, rect_intersect
 from nvcalc.element_algebra import (
-    _SCAN_PIECES,
     AffinePiece,
     Element,
     _candidates,
@@ -109,7 +108,7 @@ def merge_pieces_restart(pieces):
                 b = current.get(sibling_key)
                 if b is None:
                     continue
-                merged = _merge_partner(a, b)
+                merged = _merge_partner(a, b, d)
                 if merged is None:
                     continue
                 del current[key]
@@ -156,8 +155,8 @@ elements = st.tuples(
     st.integers(0, 10**6), st.integers(1, 3), st.integers(1, 24), st.integers(0, 24)
 )
 
-#: Table sizes on both sides of the small-table cut-off of ``_candidates``.
-around_cut_off = st.integers(max(1, _SCAN_PIECES - 2), _SCAN_PIECES + 3)
+#: Small table sizes, from one-leaf trees up.
+around_cut_off = st.integers(1, 9)
 
 
 def build(seed, n, size, expansions):
@@ -183,7 +182,7 @@ def test_compose_matches_all_pairs(spec):
 @settings(max_examples=120, deadline=None)
 def test_compose_pieces_match_all_pairs_around_the_cut_off(seed, n, size_g, size_h):
     """Whole tables and partial piece lists (in any order), composed with
-    tables just below, at and just above ``_SCAN_PIECES`` pieces."""
+    tables of 1 to 9 pieces."""
     rng = random.Random(seed)
     g = random_element(n, size_g, rng)
     h = random_element(n, size_h, rng)
@@ -205,7 +204,7 @@ def test_coset_eq_matches_the_rectangle_form(seed, n, size):
     others = [
         compose(k, embed_in_half(random_element(n, rng.randint(1, 6), rng), "right")),
         refined(k, rng, rng.randint(1, 12)),
-        random_element(n, rng.randint(1, 2 * _SCAN_PIECES), rng),
+        random_element(n, rng.randint(1, 12), rng),
         rng.choice([e for _, g in gen_set_S(n) for e in (g, inverse(g))]),
     ]
     a = coset_of(k)
@@ -355,15 +354,15 @@ def near_rect(rng, words):
 @given(st.integers(0, 10**6), st.integers(1, 3), around_cut_off, st.integers(0, 24))
 @settings(max_examples=150, deadline=None)
 def test_candidates_hold_every_piece_that_meets_the_query(seed, n, size, expansions):
-    """Random and refined tables on both sides of ``_SCAN_PIECES``, queried
-    with random rectangles and with rectangles around a piece's domain: no
-    piece that meets the query is missing or repeated.  For n <= 2 above the
-    cut-off every leaf holds one piece and no other piece is returned."""
+    """Random and refined tables of every size from one piece, queried with
+    random rectangles and with rectangles around a piece's domain: no piece
+    that meets the query is missing or repeated.  For n <= 2 every leaf holds
+    one piece and no other piece is returned."""
     rng, g, fine = build(seed, n, size, expansions)
     for e in (g, fine):
         queries = [random_rect(rng, n) for _ in range(6)]
         queries += [near_rect(rng, rng.choice(e.pieces).dom_words) for _ in range(6)]
-        exact = n <= 2 and len(e.pieces) > _SCAN_PIECES
+        exact = n <= 2
         if exact:
             assert leaf_sizes(e) == [1] * len(e.pieces)
         for r in queries:
@@ -381,15 +380,15 @@ PINWHEEL = (("", "0", "0"), ("0", "", "1"), ("1", "1", ""), ("1", "0", "1"), ("0
 
 def pinwheel_element(rng, embedded):
     """An element whose domains are the pinwheel, or the pinwheel inside the
-    half x_1 < 1/2 beside the cell ("1", "", ""), expanded past
-    ``_SCAN_PIECES`` pieces but never in a coordinate that one of its pieces
-    spans, so that the pinwheel's cell stays one leaf of the tree."""
+    half x_1 < 1/2 beside the cell ("1", "", ""), expanded to 7-18 pieces but
+    never in a coordinate that one of its pieces spans, so that the
+    pinwheel's cell stays one leaf of the tree."""
     cell = ("0", "", "") if embedded else ("", "", "")
     doms = [(cell[0] + a, b, c) for a, b, c in PINWHEEL]
     doms += [("1", "", "")] if embedded else []
     rans = random_element(3, len(doms), rng).pieces
     g = Element.from_pieces(AffinePiece(Rect(d), p.ran) for d, p in zip(doms, rans))
-    target = _SCAN_PIECES + rng.randint(1, 12)
+    target = 6 + rng.randint(1, 12)
     while len(g.pieces) < target:
         i, d = rng.choice(
             [
