@@ -58,14 +58,18 @@ def _parse_point(text: str, n: int) -> Point:
         raise UsageError(f"point has {len(parts)} coordinates, expected {n}")
     coords = []
     for p in parts:
-        # Fraction expands 10**exponent: bound it as Python bounds int digits
-        exponent = p.lower().partition("e")[2].lstrip("+-").replace("_", "").lstrip("0")
+        # Fraction expands 10**exponent and the report prints the reduced
+        # fraction: bound both as Python bounds int digits (4,300)
+        mantissa, _, exponent = p.lower().replace("_", "").partition("e")
+        exponent = exponent.lstrip("+-").lstrip("0")
         if exponent.isdecimal() and (len(exponent) > 4 or int(exponent) > 4300):
             raise UsageError(f"coordinate {p!r}: exponent above 4300")
         try:
-            x = Fraction(p)
+            x = Fraction(p) if sum(map(str.isdecimal, mantissa)) <= 4300 else None
         except (ValueError, ZeroDivisionError) as exc:
             raise UsageError(f"bad coordinate {p!r}: {exc}") from exc
+        if x is None or x.denominator >= 10**4300:  # 0 <= x < 1: num < den
+            raise UsageError(f"coordinate {p!r}: over 4300 digits")
         if not 0 <= x < 1:
             raise UsageError(f"coordinate {p} outside [0, 1)")
         coords.append(x)

@@ -146,8 +146,8 @@ class Element:
         ps = tuple(sorted(pieces, key=_dom_words))
         if not ps:
             raise ValueError("an element needs at least one piece")
-        dim = ps[0].dim
-        if any(p.dim != dim for p in ps):
+        dim = len(ps[0].dom_words)
+        if any(len(p.dom_words) != dim for p in ps):
             raise ValueError("mixed dimensions in piece table")
         return Element(dim, ps)
 
@@ -277,7 +277,8 @@ def _compose_pieces(g: Element, pieces: Iterable[AffinePiece]) -> list[AffinePie
 
 def inverse(g: Element) -> Element:
     """Swap every piece's domain and range."""
-    return Element.from_pieces(p.inverted() for p in g.pieces)
+    pieces = sorted(map(AffinePiece.inverted, g.pieces), key=_dom_words)
+    return Element(g.dim, tuple(pieces))
 
 
 def apply(g: Element, p: Point) -> Point:
@@ -429,14 +430,15 @@ def support(g: Element) -> tuple[Rect, ...]:
 
 
 def expansion(g: Element, piece_index: int, d: int) -> Element:
-    """Replace one piece by its two ``d``-halves on both sides (same map)."""
+    """Replace one piece by its two ``d``-halves on both sides (same map),
+    inserted into the sorted table."""
     if not 0 <= piece_index < len(g.pieces):
         raise ValueError(f"piece index {piece_index} out of range")
-    target = g.pieces[piece_index]
-    rest = [p for i, p in enumerate(g.pieces) if i != piece_index]
-    halves = zip(halve(target.dom, d), halve(target.ran, d))
-    rest.extend(AffinePiece(dom, ran) for dom, ran in halves)
-    return Element.from_pieces(rest)
+    pieces = list(g.pieces)
+    target = pieces.pop(piece_index)
+    for dom, ran in zip(halve(target.dom, d), halve(target.ran, d)):
+        insort(pieces, AffinePiece._trusted(dom.words, ran.words), key=_dom_words)
+    return Element(g.dim, tuple(pieces))
 
 
 def element_depth(g: Element) -> int:

@@ -77,7 +77,7 @@ from nvcalc.element_algebra import (
     simplify,
 )
 from nvcalc.reporting import CheckReport, CheckResult
-from nvcalc.words_generators import gen_set_S
+from nvcalc.words_generators import _generator_inverse, gen_set_S
 
 __all__ = [
     "CosetRep",
@@ -611,7 +611,7 @@ def _ball_elements(
     letters: list[tuple[str, Element]] = []
     for label, e in gen_set_S(n):
         letters.append((label, e))
-        letters.append((f"({label})^-1", inverse(e)))
+        letters.append((f"({label})^-1", _generator_inverse(e)))
 
     ident = identity(n)  # one piece: already reduced
     seen: dict[Element, str] = {ident: ""}

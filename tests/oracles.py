@@ -16,6 +16,11 @@ coordinate-1 half, and the checks that such copies commute, that a
 right-half copy lies in H, and that conjugating one by ``X[1,1]`` keeps it
 in H (through ``in_H(coset_of(...))``).  ``in_H`` and ``slope_exponents``
 are the membership test for H and a piece's slopes, which only tests use.
+
+``eval_word_fold`` and ``expansion_rebuild`` build what the program builds
+once or in place: a word's value with every generator and inverse made
+afresh and one composition per unit of exponent, and an expansion as a full
+``Element.from_pieces`` rebuild (re-sort and dimension check).
 """
 
 from __future__ import annotations
@@ -23,19 +28,20 @@ from __future__ import annotations
 import enum
 from typing import Sequence
 
-from nvcalc.dyadic_core import Rect, enumerate_rects, rect_Il, rect_Ir
+from nvcalc.dyadic_core import Rect, enumerate_rects, halve, rect_Il, rect_Ir
 from nvcalc.element_algebra import (
     AffinePiece,
     Element,
     _agrees,
     compose,
     equals,
+    identity,
     inverse,
     random_element,
 )
 from nvcalc.ends_cocycle import CosetRep, coset_of, coset_translate
 from nvcalc.reporting import CheckReport, CheckResult
-from nvcalc.words_generators import make_X
+from nvcalc.words_generators import make_C, make_pi, make_pibar, make_X, parse_word
 
 
 class RectRelation(enum.Enum):
@@ -252,3 +258,29 @@ def normalizer_commutation_check(
         b = random_element(n, 4, seed * 1000 + 2 * s + 1)
         run_case(f"sample{s}", a, b)
     return report
+
+
+def eval_word_fold(word: str, n: int) -> Element:
+    """``eval_word`` with nothing cached: each letter's generator comes from
+    the uncached body of its ``make_*`` builder, a negative letter's through
+    ``inverse``, and each unit of an exponent is one left composition."""
+    makers = {"X": make_X, "C": make_C, "P": make_pi, "Pb": make_pibar}
+    acc = identity(n)
+    for sym in reversed(parse_word(word).symbols):
+        make = makers[sym.kind].__wrapped__
+        e = make(sym.i, n) if sym.d is None else make(sym.d, sym.i, n)
+        e = inverse(e) if sym.exp < 0 else e
+        for _ in range(abs(sym.exp)):
+            acc = compose(e, acc)
+    return acc
+
+
+def expansion_rebuild(g: Element, piece_index: int, d: int) -> Element:
+    """``expansion`` by rebuilding the whole table through ``from_pieces``."""
+    if not 0 <= piece_index < len(g.pieces):
+        raise ValueError(f"piece index {piece_index} out of range")
+    target = g.pieces[piece_index]
+    rest = [p for i, p in enumerate(g.pieces) if i != piece_index]
+    halves = zip(halve(target.dom, d), halve(target.ran, d))
+    rest.extend(AffinePiece(dom, ran) for dom, ran in halves)
+    return Element.from_pieces(rest)

@@ -196,16 +196,24 @@ APPLY_X = ["apply", "--n", "1", "--word", "X[1,0]", "--point"]
     [
         (APPLY_X + ["1e-99999999"], "exponent above 4300"),
         (APPLY_X + ["1e-9999999999"], "exponent above 4300"),
+        (APPLY_X + ["1e-4300"], "coordinate '1e-4300': over 4300 digits"),
+        (APPLY_X + ["0.5e-4300"], "coordinate '0.5e-4300': over 4300 digits"),
+        (APPLY_X + ["0." + "0" * 4300 + "1"], "over 4300 digits"),
         (["random", "--n", "1", "--size", "200000"], f"size must be in 1..{MAX_PIECES}"),
         (["properness", "--n", "1", "--ball", "100"], f"over {MAX_MEMBERS} words"),
         (["properness", "--n", "1", "--ball", "6"], f"over {MAX_MEMBERS} words"),
         (["eval", "--element-file", "NESTED"], "bad element file: maximum recursion"),
     ],
-    ids=["point-exp-8", "point-exp-10", "random-size", "ball-100", "ball-6", "nested"],
+    ids=[
+        "point-exp-8", "point-exp-10", "point-digits", "point-half-digits",
+        "point-mantissa", "random-size", "ball-100", "ball-6", "nested",
+    ],
 )
 def test_unbounded_inputs_exit_two_at_once(tmp_path, capsys, argv, message):
     """Inputs whose cost had no bound: a point whose exponent ``Fraction``
-    expands digit by digit, a random table past ``MAX_PIECES``, a word ball
+    expands digit by digit, a point whose reduced fraction or mantissa passes
+    Python's 4,300-digit limit on int strings (once its "Exceeds the limit"
+    text), a random table past ``MAX_PIECES``, a word ball
     whose free-group bound passes ``MAX_MEMBERS``, and an element file
     nested past the recursion limit (once a traceback)."""
     nested = tmp_path / "nested.json"
@@ -227,6 +235,15 @@ def test_apply_point_with_an_exponent(capsys, point, value):
     code, payload, _ = run_json(capsys, APPLY_X + [point])
     assert code == 0
     assert payload["report"]["point"] == [value]
+
+
+@pytest.mark.parametrize("point, head", [("1e-4299", "1/1"), ("1.5e-4299", "3/2")])
+def test_apply_point_at_the_digit_bound(capsys, point, head):
+    """The reduced denominators 10^4299 and 2 * 10^4299 have 4,300 digits,
+    the most that print; 1.5e-4299 is 15/10^4300 before it is reduced."""
+    code, payload, _ = run_json(capsys, APPLY_X + [point])
+    assert code == 0
+    assert payload["report"]["point"] == [head + "0" * 4299]
 
 
 # ---------------------------------------------------------------------------

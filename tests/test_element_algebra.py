@@ -103,6 +103,14 @@ def test_from_pieces_sorts_and_validates_dimension():
         )
 
 
+@pytest.mark.parametrize("words", [(("0",), ("1", "")), (("0", ""), ("1",))])
+def test_from_pieces_rejects_mixed_dimensions(words):
+    """Either piece may be the one of the other dimension."""
+    pieces = [AffinePiece(Rect(w), Rect(w)) for w in words]
+    with pytest.raises(ValueError, match="^mixed dimensions in piece table$"):
+        Element.from_pieces(pieces)
+
+
 def test_validate():
     assert validate(identity(2))
     assert validate(X)

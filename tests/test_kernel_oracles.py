@@ -48,7 +48,13 @@ from nvcalc.words_generators import (
     make_pibar,
     make_X,
 )
-from oracles import affine_extension, embed_in_half, image_of, restrict_to
+from oracles import (
+    affine_extension,
+    embed_in_half,
+    expansion_rebuild,
+    image_of,
+    restrict_to,
+)
 
 # ---------------------------------------------------------------------------
 # reference implementations
@@ -428,6 +434,21 @@ def test_the_pinwheel_leaf_through_every_kernel_path(embedded, seed):
         q = tuple(Fraction(rng.randrange(1, 61), 61) for _ in range(3))
         for x in (p, q):
             assert apply(g, x) == apply_linear(g, x)
+
+
+@given(n=st.integers(1, 3), size=st.integers(1, 24), seed=st.integers(0, 10**6))
+@settings(max_examples=60, deadline=None)
+def test_expansion_inserts_the_halves_where_the_rebuild_sorts_them(n, size, seed):
+    """A chain of eight expansions, each table for table the full
+    ``Element.from_pieces`` rebuild, and each table sorted by domain."""
+    rng = random.Random(seed)
+    g = random_element(n, size, rng)
+    for _ in range(8):
+        i, d = rng.randrange(len(g.pieces)), rng.randint(1, n)
+        fine = expansion(g, i, d)
+        assert fine == expansion_rebuild(g, i, d)
+        assert list(fine.pieces) == sorted(fine.pieces, key=_dom_words)
+        g = fine
 
 
 def test_powers_by_squaring_match_the_per_exponent_loop():

@@ -1,9 +1,12 @@
 """Unit tests for the generator families, word language, and check suites."""
 
 import re
+from dataclasses import replace
 from fractions import Fraction
 
 import pytest
+from hypothesis import given, settings
+from hypothesis import strategies as st
 
 from nvcalc.dyadic_core import Rect, rect_Ir
 from nvcalc.element_algebra import (
@@ -36,6 +39,7 @@ from nvcalc.words_generators import (
     premise_checks,
     relation_suite,
 )
+from oracles import eval_word_fold
 
 F = Fraction
 
@@ -208,6 +212,31 @@ def test_eval_word_exponents_and_inverses():
     assert eval_word("X[1,0]^2", 1) == compose(identity(1), compose(x, x))
     assert is_identity(eval_word("X[1,0]^-1 X[1,0]", 1))
     assert equals(eval_word("X[1,0]^-2", 1), inverse(compose(x, x)))
+
+
+@st.composite
+def signed_words(draw):
+    """A dimension 1..3 and a word of 1..4 letters over every family that
+    the dimension has, exponents in -3..3, at least one of them negative."""
+    n = draw(st.integers(1, 3))
+    symbols = []
+    for _ in range(draw(st.integers(1, 4))):
+        kind = draw(st.sampled_from(("X", "P", "Pb") + (("C",) if n > 1 else ())))
+        d = draw(st.integers(1 + (kind == "C"), n)) if kind in ("X", "C") else None
+        exp = draw(st.sampled_from((-3, -2, -1, 1, 2, 3)))
+        symbols.append(GenSymbol(kind, d, draw(st.integers(0, 3)), exp))
+    if all(s.exp > 0 for s in symbols):
+        symbols[0] = replace(symbols[0], exp=-symbols[0].exp)
+    return n, format_word(Word(tuple(symbols)))
+
+
+@given(signed_words())
+@settings(max_examples=80, deadline=None)
+def test_eval_word_with_inverse_letters_matches_the_uncached_fold(case):
+    """Cached generator inverses and powers by squaring give, table for
+    table, the fold through ``inverse(make_*)`` one unit at a time."""
+    n, word = case
+    assert eval_word(word, n) == eval_word_fold(word, n)
 
 
 def test_eval_word_rejects_out_of_range_coordinates():
@@ -402,6 +431,24 @@ def test_gen_set_elements_match_labels():
     for n in (1, 2):
         for lbl, e in gen_set_S(n):
             assert equals(e, eval_word(lbl, n))
+
+
+@pytest.mark.parametrize("n", [1, 2, 3])
+def test_cached_generating_sets_match_a_fresh_evaluation(n):
+    """S, S1 and S2 hold their labels and, table for table, the elements of a
+    fresh evaluation; editing a returned list leaves the next call as it was."""
+    s1_size = len(gen_set_S1prime(n)) + n
+    for build, labels in (
+        (gen_set_S, S_LABELS[n]),
+        (gen_set_S1, S_LABELS[n][:s1_size]),
+        (gen_set_S2, S_LABELS[n][s1_size:]),
+    ):
+        expected = [(lbl, eval_word_fold(lbl, n)) for lbl in labels]
+        got = build(n)
+        assert got == expected == [(lbl, eval_word(lbl, n)) for lbl in labels]
+        got[0] = ("junk", identity(n))
+        got.append(got[0])
+        assert build(n) == expected
 
 
 def test_left_quarter():
