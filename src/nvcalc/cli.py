@@ -147,6 +147,8 @@ def _apply(args: argparse.Namespace) -> tuple[dict[str, Any], bool]:
     g = _load_element(args)
     p = _parse_point(args.point, args.n)
     image = apply_element(g, p)
+    if any(y.denominator >= 10**4300 for y in image):  # as for the point
+        raise UsageError(f"image of point {args.point!r}: over 4300 digits")
     return {"point": list(map(str, p)), "image": list(map(str, image))}, True
 
 

@@ -40,7 +40,7 @@ from nvcalc.dyadic_core import (
     Rect,
     contains_point,
     halve,
-    is_partition,
+    rect_intersect,
     word_interval,
 )
 
@@ -221,10 +221,18 @@ def identity(n: int) -> Element:
 
 
 def validate(e: Element) -> bool:
-    """True iff the domains and the ranges each partition the unit cube."""
-    return is_partition(p.dom for p in e.pieces) and is_partition(
-        p.ran for p in e.pieces
-    )
+    """True iff the domains and the ranges (the domains of ``inverse(e)``)
+    each tile the cube: the volumes sum to 1 and each domain meets only
+    itself among its ``_candidates``.  That is every pair that can meet: a
+    cell of the halving tree halves only at a letter all its pieces have."""
+    for g in (e, inverse(e)):
+        if sum(p.dom.volume for p in g.pieces) != 1:
+            return False
+        for p in g.pieces:
+            meets = (rect_intersect(p.dom, q.dom) for q in _candidates(g, p.dom_words))
+            if sum(r is not None for r in meets) != 1:
+                return False
+    return True
 
 
 def compose(g: Element, h: Element) -> Element:

@@ -281,31 +281,52 @@ _GROWING_FINDING = (
 class TruncatedCocycle:
     """The symmetric difference X Δ gX enumerated up to a rectangle depth.
 
-    ``out_side`` lists X - gX (cosets named by their rectangles); ``in_side``
-    lists the rectangles R whose g-translates make up gX - X.  ``counts[d]``
-    is the number of members of depth <= d on both sides together, so
-    ``counts[depth] == total``.  ``norm`` is the Euclidean norm of the
-    truncated difference indicator, i.e. sqrt(total).  The verdict is
-    ``STABLE(k)`` with k the least depth whose cumulative count already
-    equals the count at the truncation depth (when that happens strictly
-    before the truncation depth), and ``GROWING`` when new members still
-    appear at the last level searched.  A GROWING verdict is a statement
-    about this truncation only, never a claim about the untruncated
-    symmetric difference; ``open_finding`` spells that out, flagging the
-    tension with the expectation that every translate of the coset family
-    differs from it in only finitely many cosets.
+    The record stores its counts and members and derives every other field
+    from the counts.  ``counts[d]`` is the number of members of depth <= d on
+    both sides together, so ``depth`` is ``len(counts) - 1`` and ``total`` is
+    ``counts[-1]``.  ``out_side`` lists X - gX (cosets named by their
+    rectangles); ``in_side`` lists the rectangles R whose g-translates make
+    up gX - X; both are empty when only the counts were computed.  ``norm``
+    is the Euclidean norm of the truncated difference indicator, sqrt(total).
+    The verdict is ``STABLE(k)`` with k the least depth whose count equals
+    the total, when k < depth, and ``GROWING`` when new members still appear
+    at the last level searched.  A GROWING verdict is a statement about this
+    truncation only, never a claim about the untruncated symmetric
+    difference; ``open_finding`` spells that out, flagging the tension with
+    the expectation that every translate of the coset family differs from it
+    in only finitely many cosets.
     """
 
     element: Element
-    depth: int
-    out_side: tuple[Rect, ...]
-    in_side: tuple[Rect, ...]
     counts: tuple[int, ...]
-    verdict: str
-    stable_depth: int | None
-    total: int
-    norm: float
-    open_finding: str | None = None
+    out_side: tuple[Rect, ...] = ()
+    in_side: tuple[Rect, ...] = ()
+
+    @property
+    def depth(self) -> int:
+        return len(self.counts) - 1
+
+    @property
+    def total(self) -> int:
+        return self.counts[-1]
+
+    @property
+    def norm(self) -> float:
+        return math.sqrt(self.total)
+
+    @property
+    def stable_depth(self) -> int | None:
+        d = self.counts.index(self.total)
+        return d if d < self.depth else None
+
+    @property
+    def verdict(self) -> str:
+        return "GROWING" if self.stable_depth is None else f"STABLE({self.stable_depth})"
+
+    @property
+    def open_finding(self) -> str | None:
+        growing = self.stable_depth is None
+        return _GROWING_FINDING.format(depth=self.depth) if growing else None
 
     def to_dict(self) -> dict:
         return {
@@ -331,7 +352,7 @@ class TruncatedCocycle:
         out_end = bisect_right(self.out_side, d, key=attrgetter("depth"))
         in_end = bisect_right(self.in_side, d, key=attrgetter("depth"))
         sides = self.out_side[:out_end], self.in_side[:in_end]
-        return _truncation(self.element, *sides, self.counts[: d + 1])
+        return TruncatedCocycle(self.element, self.counts[: d + 1], *sides)
 
 
 #: The most members one truncation may list: past it ``sym_diff_truncated``
@@ -356,10 +377,8 @@ def sym_diff_truncated(g: Element, depth: int) -> TruncatedCocycle:
         raise ValueError(
             f"the truncation at depth {depth} has more than {MAX_MEMBERS} members"
         )
-    out_side, in_side = (
-        tuple(chain.from_iterable(_cylinder_levels(*side, depth)[1:])) for side in sides
-    )
-    return _truncation(g, out_side, in_side, counts)
+    levels = (chain.from_iterable(_cylinder_levels(*side, depth)[1:]) for side in sides)
+    return TruncatedCocycle(g, counts, *map(tuple, levels))
 
 
 def cocycle_counts(g: Element, depth: int) -> TruncatedCocycle:
@@ -370,7 +389,7 @@ def cocycle_counts(g: Element, depth: int) -> TruncatedCocycle:
     counts = _closed_counts(sides, depth, sys.float_info.max)
     if counts is None:
         raise ValueError(f"the total at depth {depth} is too large for a float norm")
-    return _truncation(g, (), (), counts)
+    return TruncatedCocycle(g, counts)
 
 
 def _closed_counts(sides: list, depth: int, limit: float) -> tuple[int, ...] | None:
@@ -385,31 +404,6 @@ def _closed_counts(sides: list, depth: int, limit: float) -> tuple[int, ...] | N
 def _counts(out_sizes: list[int], in_sizes: list[int]) -> tuple[int, ...]:
     """Cumulative counts from level sizes; depth 0, the cube, names no coset."""
     return tuple(accumulate(map(add, out_sizes[1:], in_sizes[1:]), initial=0))
-
-
-def _stable_depth(counts: tuple[int, ...]) -> int | None:
-    """The first depth whose count is final, if short of the last; else None."""
-    d = counts.index(counts[-1])
-    return d if d < len(counts) - 1 else None
-
-
-def _truncation(
-    g: Element, out_side: tuple[Rect, ...], in_side: tuple[Rect, ...], counts
-) -> TruncatedCocycle:
-    """The truncation of X Δ gX with these depth-sorted sides and counts."""
-    depth, total, stable = len(counts) - 1, counts[-1], _stable_depth(counts)
-    return TruncatedCocycle(
-        element=g,
-        depth=depth,
-        out_side=out_side,
-        in_side=in_side,
-        counts=counts,
-        verdict="GROWING" if stable is None else f"STABLE({stable})",
-        stable_depth=stable,
-        total=total,
-        norm=math.sqrt(total),
-        open_finding=_GROWING_FINDING.format(depth=depth) if stable is None else None,
-    )
 
 
 def cocycle_identity_check(
@@ -460,14 +454,8 @@ def cocycle_identity_check(
 def alpha_points(n: int) -> tuple[Point, ...]:
     """The probe points: (1/4, 0, ..., 0) and, per later coordinate i, the
     point with 1/2 in slot i and 0 elsewhere.  All lie in I_l."""
-    pts = [
-        tuple(Fraction(1, 4) if d == 0 else Fraction(0) for d in range(n))
-    ]
-    for i in range(1, n):
-        pts.append(
-            tuple(Fraction(1, 2) if d == i else Fraction(0) for d in range(n))
-        )
-    return tuple(pts)
+    halves = (tuple(Fraction(int(d == i), 2) for d in range(n)) for i in range(1, n))
+    return ((Fraction(1, 4),) + (Fraction(0),) * (n - 1), *halves)
 
 
 @dataclass(frozen=True)
@@ -681,17 +669,16 @@ def properness_bound_check(
                 sizes[h] = _level_sizes(*failing_cylinders(h, d), d, half)
                 if sizes[h] is None:
                     raise ValueError(f"the total at depth {d} is too large to report")
-        counts = _counts(sizes[g_inv], sizes[g])
-        total = counts[-1]
-        bound = (total + 4) ** n
+        t = TruncatedCocycle(g, _counts(sizes[g_inv], sizes[g]))
+        bound = (t.total + 4) ** n
         word = label or "<empty>"
-        if _stable_depth(counts) is not None:
+        if t.stable_depth is not None:
             stable += 1
             slack[bound - pieces] += 1
             report.checks.append(
                 CheckResult(
                     "piece_bound",
-                    f"{word}: pieces {pieces} <= ({total}+4)^{n} = {bound}",
+                    f"{word}: pieces {pieces} <= ({t.total}+4)^{n} = {bound}",
                     pieces <= bound,
                 )
             )
@@ -701,7 +688,7 @@ def properness_bound_check(
                 CheckResult(
                     "piece_bound",
                     f"{word}: truncation still growing at depth {d} "
-                    f"(total so far {total}, pieces {pieces})",
+                    f"(total so far {t.total}, pieces {pieces})",
                     True,
                     asserted=False,
                     note="no bound claimed for a growing truncation",

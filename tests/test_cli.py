@@ -246,6 +246,16 @@ def test_apply_point_at_the_digit_bound(capsys, point, head):
     assert payload["report"]["point"] == [head + "0" * 4299]
 
 
+def test_apply_image_past_the_digit_bound_exits_two(capsys):
+    """The point 1e-4299 prints, but under ``X[1,0]^-4`` its image has the
+    denominator 16 * 10^4299, 4,301 digits (once Python's "Exceeds the
+    limit" text)."""
+    argv = ["apply", "--n", "1", "--word", "X[1,0]^-4", "--point", "1e-4299"]
+    code, out, err = run(capsys, argv)
+    assert (code, out) == (2, "")
+    assert err == "error: image of point '1e-4299': over 4300 digits\n"
+
+
 # ---------------------------------------------------------------------------
 # computation commands
 
@@ -486,6 +496,27 @@ def test_element_file_bad_word_exit_two(tmp_path, capsys):
     assert code == 2
     assert out == ""
     assert err.startswith("error: ") and err.count("\n") == 1 and "'0a'" in err
+
+
+def test_large_element_file_validates_through_the_halving_tree(tmp_path, capsys):
+    """Each piece is checked against its halving-tree candidates, not every
+    other piece: the all-pairs check took over 10 s at 4,096 pieces."""
+    path = tmp_path / "g.json"
+    path.write_text(element_to_json(random_element(2, 16384, 1)), encoding="utf-8")
+    start = time.perf_counter()
+    code, payload, _ = run_json(capsys, ["support", "--element-file", str(path)])
+    assert time.perf_counter() - start < 5
+    assert code == 0 and payload["config"]["n"] == 2
+
+
+def test_element_file_with_overlapping_domains_in_two_dimensions(tmp_path, capsys):
+    """Half-volume domains that meet in a quarter: the volumes sum to 1."""
+    pieces = [{"dom": ["0", ""], "ran": ["0", ""]}, {"dom": ["", "1"], "ran": ["1", ""]}]
+    path = tmp_path / "g.json"
+    path.write_text(json.dumps({"n": 2, "pieces": pieces}), encoding="utf-8")
+    code, out, err = run(capsys, ["support", "--element-file", str(path)])
+    assert (code, out) == (2, "")
+    assert err == "error: bad element file: pieces do not partition the cube\n"
 
 
 def test_word_and_element_file_are_exclusive(tmp_path, capsys):

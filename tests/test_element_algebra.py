@@ -419,3 +419,61 @@ def test_json_accepts_invalid_tables_but_validate_flags_them():
 def test_json_rejects_bad_words():
     with pytest.raises(ValueError):
         element_from_json('{"n": 1, "pieces": [{"dom": ["2"], "ran": [""]}]}')
+
+
+# ---------------------------------------------------------------------------
+# validation through the halving tree
+
+#: The n = 3 pinwheel of ``Element._tree``: a cell that halves in no
+#: coordinate, so its leaf holds all five pieces.
+PINWHEEL = [("", "0", "0"), ("0", "", "1"), ("1", "1", ""), ("1", "0", "1"), ("0", "1", "0")]
+
+
+def _partition_oracle(e):
+    """The all-pairs answer: domains and ranges each tile the cube."""
+    return is_partition(p.dom for p in e.pieces) and is_partition(p.ran for p in e.pieces)
+
+
+def _mutants(e):
+    """Per piece, the table with that piece given the domain, then the range,
+    of the first other piece of the same depth (the volumes still sum to 1,
+    but two domains or two ranges coincide), and for n >= 2 the table with
+    that piece's domain words rotated a coordinate (same volume; it may
+    overlap others in part)."""
+    ps = e.pieces
+    for i, p in enumerate(ps):
+        swaps = []
+        for side in ("dom", "ran"):
+            depth = getattr(p, side).depth
+            other = next((q for q in ps if q is not p and getattr(q, side).depth == depth), None)
+            if other is not None:
+                swaps.append((other.dom, p.ran) if side == "dom" else (p.dom, other.ran))
+        if e.dim > 1:
+            swaps.append((Rect(p.dom_words[1:] + p.dom_words[:1]), p.ran))
+        for dom, ran in swaps:
+            yield Element.from_pieces(ps[:i] + (AffinePiece(dom, ran),) + ps[i + 1 :])
+
+
+@given(st.integers(0, 10_000), st.integers(1, 24), st.integers(1, 3))
+@settings(max_examples=60, deadline=None)
+def test_validate_matches_the_all_pairs_partition_check(seed, size, n):
+    e = random_element(n, size, seed)
+    assert validate(e) and _partition_oracle(e)
+    for mutant in _mutants(e):
+        assert validate(mutant) == _partition_oracle(mutant)
+
+
+@pytest.mark.parametrize(
+    "ranges",
+    [PINWHEEL[1:3] + PINWHEEL[:1] + PINWHEEL[4:] + PINWHEEL[3:4],
+     [("00", "", ""), ("01", "", ""), ("10", "", ""), ("110", "", ""), ("111", "", "")]],
+    ids=["pinwheel-both-sides", "pinwheel-domains"],
+)
+def test_validate_on_the_pinwheel(ranges):
+    e = Element.from_pieces(
+        AffinePiece(Rect(d), Rect(r)) for d, r in zip(PINWHEEL, ranges)
+    )
+    assert validate(e) and _partition_oracle(e)
+    verdicts = [(validate(m), _partition_oracle(m)) for m in _mutants(e)]
+    assert all(v == oracle for v, oracle in verdicts)
+    assert (False, False) in verdicts

@@ -3,9 +3,12 @@
 import json
 import math
 from fractions import Fraction
+from functools import reduce
 from unittest import mock
 
 import pytest
+from hypothesis import given, settings
+from hypothesis import strategies as st
 
 from nvcalc.dyadic_core import (
     Rect,
@@ -30,6 +33,7 @@ from nvcalc.element_algebra import (
 from nvcalc import ends_cocycle
 from nvcalc.ends_cocycle import (
     CosetRep,
+    TruncatedCocycle,
     alpha_points,
     cocycle_counts,
     cocycle_identity_check,
@@ -276,6 +280,36 @@ def test_count_paths_stop_below_the_member_budget(monkeypatch):
     ):
         with pytest.raises(ValueError, match="depth must be < 40, got 40"):
             count()
+
+
+#: The letters of S and their inverses, per dimension.
+LETTERS = {n: [e for _, g in gen_set_S(n) for e in (g, inverse(g))] for n in (1, 2)}
+
+
+@given(st.data())
+@settings(max_examples=80, deadline=None)
+def test_truncation_record_derives_every_verdict_field_from_its_counts(data):
+    """The record stores counts and members; the rest follows the counts.
+    The stable depth is the first index of the final count, if that index
+    is before the last one."""
+    n = data.draw(st.sampled_from([1, 2]), label="n")
+    word = data.draw(st.lists(st.sampled_from(LETTERS[n]), max_size=3), label="word")
+    depth = data.draw(st.integers(0, 6), label="depth")
+    g = reduce(compose, word, identity(n))
+    t = sym_diff_truncated(g, depth)
+    members = t.out_side + t.in_side
+    assert t.depth == depth == len(t.counts) - 1
+    for d in range(depth + 1):
+        assert t.counts[d] == sum(1 <= m.depth <= d for m in members)
+    assert t.total == len(t.out_side) + len(t.in_side)
+    first = t.counts.index(t.counts[-1])
+    stable = first if first < len(t.counts) - 1 else None
+    assert t.stable_depth == stable
+    assert t.verdict == ("GROWING" if stable is None else f"STABLE({stable})")
+    assert (t.open_finding is None) == (stable is not None)
+    assert t.open_finding is None or f"truncation depth {depth}." in t.open_finding
+    assert t.norm == math.sqrt(t.total)
+    assert cocycle_counts(g, depth) == TruncatedCocycle(g, t.counts)
 
 
 def test_sym_diff_identity_is_empty():
