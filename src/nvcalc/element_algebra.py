@@ -15,8 +15,8 @@ Words are checked at the boundary (the public ``Rect`` and ``AffinePiece``
 constructors, the word parser, JSON loading); rectangles and pieces cut from
 valid ones are built unchecked from words with ``_trusted``.  One word walk,
 ``_compose_pieces``, serves ``compose``, ``restrict``, ``equals`` and coset
-equality.  Candidate pieces come from a halving tree over each element's
-domains, cached with it.
+equality; a candidate whose domain equals the range it meets skips the walk.
+Candidates come from a halving tree over each element's domains, cached.
 
 Convention: ``compose(g, h)`` is the map "apply h first, then g" (so a word
 written ``g h`` acts on the cube through its right factor first).  This is the
@@ -255,17 +255,20 @@ MAX_PIECES = 2**16
 def _compose_pieces(g: Element, pieces: Iterable[AffinePiece]) -> list[AffinePiece]:
     """The pieces of g∘p for each piece p, straight from the four word tuples.
 
-    Per coordinate, p's range word r and a candidate pg's domain word u meet
-    in one of two ways: u extends r (the domain word is p's plus u's extra
-    letters, the range word is pg's) or r extends u (p's domain word, and
-    pg's range word plus r's extra letters).  A pair prefix-incomparable in
-    any coordinate is disjoint.  Callers check dimensions; the words come
-    from valid pieces.  Raises ValueError past ``MAX_PIECES``."""
+    A candidate pg whose domain is p's range yields p.dom -> pg.ran as it is.
+    Else, per coordinate, p's range word r and pg's domain word u meet when
+    u extends r (p's domain word plus u's extra letters, to pg's range word)
+    or r extends u (p's domain word, to pg's range word plus r's extra
+    letters); any other pair is disjoint.  Callers check dimensions and pass
+    valid pieces.  Raises ValueError past ``MAX_PIECES``."""
     out = []
     trusted = AffinePiece._trusted
     for ph in pieces:
         hd, hr = ph.dom_words, ph.ran_words
         for pg in _candidates(g, hr):
+            if pg.dom_words == hr:
+                out.append(trusted(hd, pg.ran_words))
+                continue
             dom, ran = [], []
             for a, r, u, b in zip(hd, hr, pg.dom_words, pg.ran_words):
                 if u.startswith(r):
@@ -311,10 +314,11 @@ def is_identity(g: Element) -> bool:
 
 
 def equals(g: Element, h: Element) -> bool:
-    """Semantic equality of induced maps: ``g∘h^{-1}`` is the identity."""
+    """Semantic equality of induced maps: ``g∘h^{-1}`` is the identity.
+    Identical piece tables are the same map and answer without a word walk."""
     if g.dim != h.dim:
         raise ValueError(f"dimension mismatch: {g.dim} vs {h.dim}")
-    return _agrees(g, h.pieces)
+    return g.pieces == h.pieces or _agrees(g, h.pieces)
 
 
 def _agrees(g: Element, pieces: Iterable[AffinePiece]) -> bool:

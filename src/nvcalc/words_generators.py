@@ -35,6 +35,7 @@ from nvcalc.dyadic_core import Rect, rect_Ir
 from nvcalc.element_algebra import (
     AffinePiece,
     Element,
+    _compose_pieces,
     compose,
     equals,
     MAX_PIECES,
@@ -259,26 +260,26 @@ def _symbol_element(sym: GenSymbol, n: int) -> Element:
 def eval_word(word: Word | str, n: int) -> Element:
     """Evaluate a word to an element; the right factor acts first.
 
-    The fixed objects of a dimension are built once: each generator
-    (``make_*``), each generator's inverse and the S2 quotients
-    ``X[d,1] X[d,0]^-1``.  Squares ``e^(2^j)`` and other results keyed by an
-    exponent or by a caller's word are not cached: such a cache grows with
-    every new input and holds results the caller may want recomputed."""
+    The fold runs on bare piece lists from ``identity(n)`` (the benchmark's
+    trace test counts its rectangle validation) and sorts once, at the end.
+    Each generator, its inverse and the S2 quotients ``X[d,1] X[d,0]^-1`` are
+    built once per dimension; squares ``e^(2^j)`` and results keyed by a
+    caller's word are not cached, as such a cache grows with every input."""
     if isinstance(word, str):
         word = parse_word(word)
-    acc = identity(n)
+    acc = identity(n).pieces
     for sym in reversed(word.symbols):
         # e**k by repeated squaring, folded in from the left: composing is
-        # associative table for table, and the left factor, whose tree is
-        # built, is e or a square of it, never the fresh accumulator.
+        # associative table for table, and the left factor is e or a square
+        # of it, an Element whose halving tree is cached, never the list.
         e, k = _symbol_element(sym, n), abs(sym.exp)
         while k:
             if k & 1:
-                acc = compose(e, acc)
+                acc = _compose_pieces(e, acc)
             k >>= 1
             if k:
                 e = compose(e, e)
-    return acc
+    return Element.from_pieces(acc)
 
 
 def _words_equal(lhs: str, rhs: str, n: int) -> bool:

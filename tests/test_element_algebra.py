@@ -4,6 +4,7 @@ import hashlib
 import json
 import random
 from fractions import Fraction
+from unittest import mock
 
 import pytest
 from hypothesis import given, settings
@@ -14,6 +15,7 @@ from nvcalc.dyadic_core import Rect, is_partition, rect_Il, rect_Ir
 from nvcalc.element_algebra import (
     AffinePiece,
     Element,
+    _agrees,
     apply,
     compose,
     element_depth,
@@ -35,6 +37,7 @@ from nvcalc.element_algebra import (
     support,
     validate,
 )
+from nvcalc.words_generators import eval_word
 from oracles import affine_extension, image_of, restrict_to, slope_exponents
 
 F = Fraction
@@ -189,6 +192,26 @@ def test_equals_is_semantic():
     assert not equals(X, PIBAR)
     with pytest.raises(ValueError):
         equals(X, identity(2))
+
+
+def test_equals_compares_tables_before_the_word_walk():
+    """Identical piece tables never reach ``_agrees``; an expansion differs as
+    a table and is still equal, through one walk; a different element is not
+    equal; a dimension mismatch still raises."""
+    rng = random.Random(5)
+    for n in (1, 2, 3):
+        g = random_element(n, 12, rng)
+        finer = expansion(g, rng.randrange(len(g.pieces)), rng.randint(1, n))
+        swapped = compose(g, eval_word("Pb[0]", n))
+        with mock.patch("nvcalc.element_algebra._agrees", wraps=_agrees) as walk:
+            assert equals(g, Element(n, g.pieces))
+            assert walk.call_count == 0
+            assert finer.pieces != g.pieces
+            assert equals(g, finer) and walk.call_count == 1
+            assert not equals(g, swapped) and walk.call_count == 2
+            with pytest.raises(ValueError):
+                equals(g, identity(n % 3 + 1))
+            assert walk.call_count == 2
 
 
 # ---------------------------------------------------------------------------

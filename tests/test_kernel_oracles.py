@@ -180,7 +180,8 @@ def build(seed, n, size, expansions):
 def test_compose_matches_all_pairs(spec):
     rng, g, fine = build(*spec)
     h = refined(random_element(g.dim, rng.randint(1, 24), rng), rng, rng.randint(0, 24))
-    for a, b in ((g, h), (h, g), (fine, h), (h, fine), (fine, inverse(fine))):
+    pairs = ((g, h), (h, g), (fine, h), (h, fine), (fine, inverse(fine)), (g, inverse(fine)))
+    for a, b in pairs:
         assert compose(a, b) == compose_all_pairs(a, b)
 
 
