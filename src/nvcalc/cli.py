@@ -135,6 +135,9 @@ def _report(report: Any) -> tuple[dict[str, Any], bool]:
 
 
 def _equal(args: argparse.Namespace) -> tuple[dict[str, Any], bool]:
+    for i, (word, w) in enumerate(((args.word1, args.w1), (args.word2, args.w2)), 1):
+        if word is not None and w is not None:
+            raise UsageError(f"give --word{i} or --w{i}, not both")
     w1 = args.word1 if args.word1 is not None else args.w1
     w2 = args.word2 if args.word2 is not None else args.w2
     if w1 is None or w2 is None:

@@ -430,7 +430,9 @@ def merge_pieces(pieces: Iterable[AffinePiece]) -> tuple[AffinePiece, ...]:
 
 
 def simplify(g: Element) -> Element:
-    """Equal element with greedily merged pieces (unique reduced form if 1-D)."""
+    """Equal element with greedily merged pieces.  For n = 1 this is the unique
+    reduced form; for n >= 2 it is a table with no mergeable pair, and one map
+    can have two such tables, so only ``equals`` decides equality there."""
     return Element(g.dim, merge_pieces(g.pieces))
 
 

@@ -46,9 +46,9 @@ import math
 import sys
 from bisect import bisect_right
 from collections import Counter
-from dataclasses import dataclass, field
+from dataclasses import dataclass
 from fractions import Fraction
-from functools import cache
+from functools import cache, cached_property
 from itertools import accumulate, chain
 from operator import add, attrgetter, eq
 
@@ -478,11 +478,11 @@ class FPProbeResult:
     contained in any single cell of P (the membership test used throughout);
     ``members_corner_meets`` is the companion predicate — rectangles whose
     closure (or half-open extent, per ``corner_mode``) meets a corner of P —
-    kept side by side for comparison.  For each member R, ``values[R]`` lists
-    the images of the probe points under the canonical representative of the
-    coset named by R; ``grid_violations`` records every value coordinate that
-    misses the corresponding corner-projection grid of P; ``injective`` says
-    whether the full value tuple separates the members.
+    kept side by side for comparison.  Derived from these: for each member
+    R, ``values[R]`` lists the images of the probe points under the canonical
+    representative of the coset named by R; ``grid_violations`` records every
+    value coordinate that misses the corresponding corner-projection grid of
+    P; ``injective`` says whether the full value tuple separates the members.
     """
 
     n: int
@@ -491,9 +491,30 @@ class FPProbeResult:
     pattern: tuple[Rect, ...]
     members: tuple[Rect, ...]
     members_corner_meets: tuple[Rect, ...]
-    values: dict[Rect, tuple[Point, ...]] = field(compare=False)
-    grid_violations: tuple[GridViolation, ...] = ()
-    injective: bool = True
+
+    @cached_property
+    def values(self) -> dict[Rect, tuple[Point, ...]]:
+        # every alpha point lies in I_l, where rect_to_coset(r) is I_l -> r
+        il, alphas = rect_Il(self.n).words, alpha_points(self.n)
+        return {
+            r: tuple(map(AffinePiece._trusted(il, r.words).apply_point, alphas))
+            for r in self.members
+        }
+
+    @property
+    def grid_violations(self) -> tuple[GridViolation, ...]:
+        grids = corner_projections(self.pattern)
+        return tuple(
+            GridViolation(r, ai, d + 1, x)
+            for r, imgs in self.values.items()
+            for ai, img in enumerate(imgs, start=1)
+            for d, x in enumerate(img)
+            if x not in grids[d]
+        )
+
+    @property
+    def injective(self) -> bool:
+        return len(set(self.values.values())) == len(self.members)
 
     def to_dict(self) -> dict:
         return {
@@ -501,17 +522,10 @@ class FPProbeResult:
             "corner_mode": self.corner_mode,
             "pattern": [list(r.words) for r in self.pattern],
             "members": [list(r.words) for r in self.members],
-            "members_corner_meets": [
-                list(r.words) for r in self.members_corner_meets
-            ],
+            "members_corner_meets": [list(r.words) for r in self.members_corner_meets],
             "values": [
-                {
-                    "rect": list(r.words),
-                    "points": [
-                        [str(x) for x in p] for p in self.values[r]
-                    ],
-                }
-                for r in self.members
+                {"rect": list(r.words), "points": [[str(x) for x in p] for p in imgs]}
+                for r, imgs in self.values.items()
             ],
             "grid_violations": [
                 {
@@ -552,10 +566,6 @@ def f_P_probe(
     meets = contains_point if corner_mode == "half_open" else _closure_contains
     pattern = tuple(p.dom for p in simplify(g).pieces)
     corner_set = corners(pattern)
-    grids = corner_projections(pattern)
-    alphas = alpha_points(n)
-    il = rect_Il(n).words
-
     members: list[Rect] = []
     corner_members: list[Rect] = []
     for r in enumerate_rects(n, depth):
@@ -563,30 +573,8 @@ def f_P_probe(
             members.append(r)
         if any(meets(r, q) for q in corner_set):
             corner_members.append(r)
-
-    values: dict[Rect, tuple[Point, ...]] = {}
-    violations: list[GridViolation] = []
-    for r in members:
-        # every alpha point lies in I_l, where rect_to_coset(r) is I_l -> r
-        imgs = tuple(map(AffinePiece._trusted(il, r.words).apply_point, alphas))
-        values[r] = imgs
-        for ai, img in enumerate(imgs, start=1):
-            for d in range(n):
-                if img[d] not in grids[d]:
-                    violations.append(
-                        GridViolation(r, ai, d + 1, img[d])
-                    )
-    injective = len(set(values.values())) == len(members)
     return FPProbeResult(
-        n=n,
-        depth=depth,
-        corner_mode=corner_mode,
-        pattern=pattern,
-        members=tuple(members),
-        members_corner_meets=tuple(corner_members),
-        values=values,
-        grid_violations=tuple(violations),
-        injective=injective,
+        n, depth, corner_mode, pattern, tuple(members), tuple(corner_members)
     )
 
 
@@ -594,8 +582,9 @@ def _ball_elements(
     n: int, radius: int
 ) -> list[tuple[str, Element]]:
     """Distinct elements of the word ball of the given radius over S and
-    inverses as reduced tables (which tell them apart), labelled by a shortest
-    word reaching each; includes the identity (empty word)."""
+    inverses as reduced tables, labelled by a shortest word reaching each;
+    includes the identity (empty word).  Reduced tables tell elements apart
+    only for n = 1: for n >= 2 one map can have two (see ``simplify``)."""
     letters: list[tuple[str, Element]] = []
     for label, e in gen_set_S(n):
         letters.append((label, e))
@@ -655,7 +644,6 @@ def properness_bound_check(
         },
     )
     elements = _ball_elements(n, ball_radius)
-    stable = growing = 0
     slack: Counter[int] = Counter()
     sizes: dict[Element, list[int]] = {}  # the ball holds g^{-1}: count it once
     half = (10 ** (4300 // n) - 5) // 2  # each side: (total + 4)^n fits 4,300 digits
@@ -673,7 +661,6 @@ def properness_bound_check(
         bound = (t.total + 4) ** n
         word = label or "<empty>"
         if t.stable_depth is not None:
-            stable += 1
             slack[bound - pieces] += 1
             report.checks.append(
                 CheckResult(
@@ -683,7 +670,6 @@ def properness_bound_check(
                 )
             )
         else:
-            growing += 1
             report.checks.append(
                 CheckResult(
                     "piece_bound",
@@ -695,7 +681,7 @@ def properness_bound_check(
                 )
             )
     report.params["num_elements"] = len(elements)
-    report.params["num_stable"] = stable
-    report.params["num_growing"] = growing
+    report.params["num_stable"] = stable = sum(slack.values())
+    report.params["num_growing"] = len(elements) - stable
     report.params["bound_slack"] = [[s, slack[s]] for s in sorted(slack)]
     return report

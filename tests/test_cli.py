@@ -67,6 +67,24 @@ def test_missing_word_exit_two(capsys):
     assert code == 2 and "word2" in err
 
 
+@pytest.mark.parametrize(
+    "i, first, second, other",
+    [
+        (1, "--word1", "--w1", "--w2"),
+        (1, "--w1", "--word1", "--w2"),
+        (2, "--word2", "--w2", "--w1"),
+        (2, "--w2", "--word2", "--w1"),
+    ],
+)
+def test_operand_given_twice_exit_two(capsys, i, first, second, other):
+    """An operand given by both its flag and its alias is refused, not
+    silently resolved in favour of one of them."""
+    argv = ["equal", "--n", "1", first, "P[0]", second, "X[1,0]", other, "P[0]"]
+    code, out, err = run(capsys, argv)
+    assert code == 2 and out == ""
+    assert err == f"error: give --word{i} or --w{i}, not both\n"
+
+
 def test_unknown_subcommand_exit_two(capsys):
     assert run(capsys, ["frobnicate"])[0] == 2
 

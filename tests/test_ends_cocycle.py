@@ -491,6 +491,13 @@ def test_properness_growing_elements_become_findings():
     assert rep.all_pass  # growing rows are findings, not failures
     assert rep.params["num_growing"] > 0
     assert all(not c.asserted for c in rep.findings)
+    # n = 2, radius 1: only the identity stabilises; the tallies are the rows
+    rep = properness_bound_check(2, 1)
+    asserted = sum(c.asserted for c in rep.checks)
+    assert (rep.params["num_stable"], rep.params["num_growing"]) == (1, 13)
+    assert rep.params["num_stable"] == asserted
+    assert rep.params["num_growing"] == len(rep.findings)
+    assert asserted + len(rep.findings) == rep.params["num_elements"]
 
 
 @pytest.mark.parametrize(
