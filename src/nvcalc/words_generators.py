@@ -36,6 +36,7 @@ from nvcalc.element_algebra import (
     AffinePiece,
     Element,
     _compose_pieces,
+    _dom_words,
     compose,
     equals,
     MAX_PIECES,
@@ -260,26 +261,28 @@ def _symbol_element(sym: GenSymbol, n: int) -> Element:
 def eval_word(word: Word | str, n: int) -> Element:
     """Evaluate a word to an element; the right factor acts first.
 
-    The fold runs on bare piece lists from ``identity(n)`` (the benchmark's
-    trace test counts its rectangle validation) and sorts once, at the end.
-    Each generator, its inverse and the S2 quotients ``X[d,1] X[d,0]^-1`` are
-    built once per dimension; squares ``e^(2^j)`` and results keyed by a
-    caller's word are not cached, as such a cache grows with every input."""
+    ``n`` is checked once by ``Rect.cube(n)``, a validated rectangle that the
+    benchmark's trace test counts.  The fold runs on bare piece lists from the
+    first factor's pieces (the empty word gives ``identity(n)``), sorting once.
+    Generators, their inverses and the S2 quotients are built once per
+    dimension; squares ``e^(2^j)`` and results by word are not cached."""
     if isinstance(word, str):
         word = parse_word(word)
-    acc = identity(n).pieces
+    Rect.cube(n)
+    acc = None
     for sym in reversed(word.symbols):
-        # e**k by repeated squaring, folded in from the left: composing is
-        # associative table for table, and the left factor is e or a square
-        # of it, an Element whose halving tree is cached, never the list.
+        # e**k by squaring, folded in from the left (composing is associative
+        # table for table): the left factor is e or a square, never the list.
         e, k = _symbol_element(sym, n), abs(sym.exp)
         while k:
             if k & 1:
-                acc = _compose_pieces(e, acc)
+                acc = e.pieces if acc is None else _compose_pieces(e, acc)
             k >>= 1
             if k:
                 e = compose(e, e)
-    return Element.from_pieces(acc)
+    if acc is None:
+        return identity(n)
+    return Element(n, tuple(sorted(acc, key=_dom_words)))
 
 
 def _words_equal(lhs: str, rhs: str, n: int) -> bool:

@@ -128,6 +128,7 @@ def test_library_value_error_exit_two(capsys, argv):
         (["corollaries", "--n", "1", "--imax", "0"], "i_max must be >= 2"),
         (["corollaries", "--n", "2", "--imax", "1"], "i_max must be >= 2"),
         (["random", "--n", "0"], "dimension must be >= 1"),
+        (["eval", "--n", "0", "--word", "X[1,0]"], "error: dimension must be >= 1\n"),
         (
             ["probe", "--n", "2", "--word", "Pb[0]", "--depths", "1100"],
             "the total at depth 1100 is too large for a float norm",
@@ -169,6 +170,7 @@ def test_library_value_error_exit_two(capsys, argv):
         "corollaries-imax0",
         "corollaries-imax1",
         "random-n",
+        "eval-n",
         "probe-depth",
         "cocycle-depth",
         "eval-index",
@@ -504,6 +506,33 @@ def test_element_file_must_partition_the_cube(tmp_path, capsys, pieces, argv):
     assert code == 2
     assert out == ""
     assert err == "error: bad element file: pieces do not partition the cube\n"
+
+
+#: The n = 2 quarters ("0","1") and ("1","0") swapped, each written as one
+#: string: read letter by letter, this file is a valid element.
+QUARTER_SWAP = [("00", "00"), ("01", "10"), ("10", "01"), ("11", "11")]
+
+
+@pytest.mark.parametrize(
+    "data, message",
+    [
+        (
+            {"n": 2, "pieces": [{"dom": d, "ran": r} for d, r in QUARTER_SWAP]},
+            "dom and ran must be arrays of words",
+        ),
+        ({"n": True, "pieces": [{"dom": [""], "ran": [""]}]}, "n must be an integer, not bool"),
+        ({"n": "1", "pieces": [{"dom": [""], "ran": [""]}]}, "n must be an integer, not str"),
+    ],
+    ids=["string-dom", "bool-n", "string-n"],
+)
+def test_element_file_fields_must_have_json_types(tmp_path, capsys, data, message):
+    """A string ``dom`` once read as one word per letter, ``"n": true`` as
+    n = 1, and ``"n": "1"`` gave "declared dimension 1 != piece dimension 1"."""
+    path = tmp_path / "g.json"
+    path.write_text(json.dumps(data), encoding="utf-8")
+    code, out, err = run(capsys, ["eval", "--element-file", str(path)])
+    assert (code, out) == (2, "")
+    assert err == f"error: bad element file: {message}\n"
 
 
 def test_element_file_bad_word_exit_two(tmp_path, capsys):

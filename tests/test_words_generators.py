@@ -236,12 +236,25 @@ def signed_words(draw):
 
 @given(signed_words())
 @example((2, "X[1,0] C[2,0]^-1"))  # the bare-list fold ends unsorted here
+@example((1, "X[1,0]^-1 P[1]^2"))  # the fold starts from a square
+@example((2, "C[2,1]^-4"))  # one letter: the fold is its fourth power
 @settings(max_examples=80, deadline=None)
 def test_eval_word_with_inverse_letters_matches_the_uncached_fold(case):
     """Cached generator inverses and powers by squaring give, table for
     table, the fold through ``inverse(make_*)`` one unit at a time."""
     n, word = case
     assert eval_word(word, n) == eval_word_fold(word, n)
+
+
+@pytest.mark.parametrize("n", [1, 2, 3])
+def test_empty_word_is_the_identity_table(n):
+    assert eval_word("", n) == identity(n)
+
+
+@pytest.mark.parametrize("word, n", [("P[0]", 0), ("X[1,0]", -1), ("", 0)])
+def test_eval_word_rejects_dimension_below_one(word, n):
+    with pytest.raises(ValueError, match="^dimension must be >= 1$"):
+        eval_word(word, n)
 
 
 def test_eval_word_rejects_out_of_range_coordinates():
