@@ -16,8 +16,8 @@ constructors, the word parser, JSON loading); rectangles and pieces cut from
 valid ones are built unchecked from words with ``_trusted``.  One word walk,
 ``_compose_pieces``, serves ``compose``, ``restrict``, ``equals``, coset
 equality and the ``eval_word`` fold, which starts from its first factor's
-pieces.  It descends a cached halving tree over each element's domains
-inline; a candidate whose domain equals the range it meets skips the walk.
+pieces.  A candidate whose domain equals the range it meets skips the walk.
+Candidates come from a halving tree over each element's domains, cached.
 
 Convention: ``compose(g, h)`` is the map "apply h first, then g" (so a word
 written ``g h`` acts on the cube through its right factor first).  This is the
@@ -199,7 +199,7 @@ def _candidates(g: Element, words: tuple[str, ...]) -> Sequence[AffinePiece]:
     g's tree reached by following, at each node ``[d, k, lo, hi]``, the child
     named by letter k of ``words[d]``, or both if the word has none.  For
     n <= 2 these are exactly the pieces that meet it; the callers' word walks
-    drop the others.  ``_compose_pieces`` runs the same descent inline."""
+    drop the others."""
     todo, out = [g._tree], []
     while todo:
         node = todo.pop()
@@ -254,47 +254,35 @@ MAX_PIECES = 2**16
 
 
 def _compose_pieces(g: Element, pieces: Iterable[AffinePiece]) -> list[AffinePiece]:
-    """The pieces of g∘p for each piece p, straight from the four word tuples
-    of p and of each candidate pg that p's range reaches in g's halving tree,
-    descended inline as in ``_candidates``.  A pg whose domain is p's range
-    yields p.dom -> pg.ran as it is.  Else, per coordinate, p's range word r
-    and pg's domain word u meet when u extends r (p's domain word plus u's
-    extra letters, to pg's range word) or r extends u (p's domain word, to
-    pg's range word plus r's extra letters); any other pair is disjoint.
-    Callers check dimensions and pass valid pieces.  Raises ValueError past
-    ``MAX_PIECES``."""
+    """The pieces of g∘p for each piece p, straight from the four word tuples.
+
+    A candidate pg whose domain is p's range yields p.dom -> pg.ran as it is.
+    Else, per coordinate, p's range word r and pg's domain word u meet when
+    u extends r (p's domain word plus u's extra letters, to pg's range word)
+    or r extends u (p's domain word, to pg's range word plus r's extra
+    letters); any other pair is disjoint.  Callers check dimensions and pass
+    valid pieces (the ``eval_word`` fold passes its accumulated list, which
+    starts as its first factor's pieces).  Raises ValueError past ``MAX_PIECES``."""
     out = []
     trusted = AffinePiece._trusted
-    root = g._tree
     for ph in pieces:
         hd, hr = ph.dom_words, ph.ran_words
-        todo = [root]
-        while todo:
-            node = todo.pop()
-            while type(node) is list:
-                d, k, lo, hi = node
-                w = hr[d]
-                if len(w) <= k:
-                    todo.append(hi)
-                    node = lo
+        for pg in _candidates(g, hr):
+            if pg.dom_words == hr:
+                out.append(trusted(hd, pg.ran_words))
+                continue
+            dom, ran = [], []
+            for a, r, u, b in zip(hd, hr, pg.dom_words, pg.ran_words):
+                if u.startswith(r):
+                    dom.append(a + u[len(r):])
+                    ran.append(b)
+                elif r.startswith(u):
+                    dom.append(a)
+                    ran.append(b + r[len(u):])
                 else:
-                    node = lo if w[k] == "0" else hi
-            for pg in node:
-                if pg.dom_words == hr:
-                    out.append(trusted(hd, pg.ran_words))
-                    continue
-                dom, ran = [], []
-                for a, r, u, b in zip(hd, hr, pg.dom_words, pg.ran_words):
-                    if u.startswith(r):
-                        dom.append(a + u[len(r):])
-                        ran.append(b)
-                    elif r.startswith(u):
-                        dom.append(a)
-                        ran.append(b + r[len(u):])
-                    else:
-                        break
-                else:
-                    out.append(trusted(tuple(dom), tuple(ran)))
+                    break
+            else:
+                out.append(trusted(tuple(dom), tuple(ran)))
         if len(out) > MAX_PIECES:
             raise ValueError(f"a composition would exceed {MAX_PIECES} pieces")
     return out

@@ -261,9 +261,9 @@ def _symbol_element(sym: GenSymbol, n: int) -> Element:
 def eval_word(word: Word | str, n: int) -> Element:
     """Evaluate a word to an element; the right factor acts first.
 
-    ``n`` is checked once by ``Rect.cube(n)``, a validated rectangle that the
-    benchmark's trace test counts.  The fold runs on bare piece lists from the
-    first factor's pieces (the empty word gives ``identity(n)``), sorting once.
+    ``n`` is checked once, at the boundary, by ``Rect.cube(n)``.  The fold runs
+    on bare piece lists from the first factor's pieces (the empty word gives
+    ``identity(n)``), sorting once.
     Generators, their inverses and the S2 quotients are built once per
     dimension; squares ``e^(2^j)`` and results by word are not cached."""
     if isinstance(word, str):
