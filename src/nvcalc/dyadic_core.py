@@ -187,16 +187,6 @@ def corner_projections(cells: Sequence[Rect]) -> tuple[frozenset[Fraction], ...]
     return tuple(frozenset(s) for s in proj)
 
 
-def _compositions(total: int, parts: int) -> Iterator[tuple[int, ...]]:
-    """Ordered length vectors summing to ``total``, ascending lexicographic."""
-    if parts == 1:
-        yield (total,)
-        return
-    for head in range(total + 1):
-        for rest in _compositions(total - head, parts - 1):
-            yield (head,) + rest
-
-
 def count_rects(n: int, D: int) -> int:
     """Number of rectangles of total depth in [1, D] in dimension n."""
     return sum(comb(k + n - 1, n - 1) * 2**k for k in range(1, D + 1))
@@ -213,7 +203,11 @@ def enumerate_rects(n: int, D: int) -> Iterator[Rect]:
     if D < 0:
         raise ValueError("depth bound must be >= 0")
     for k in range(1, D + 1):
-        for lengths in _compositions(k, n):
+        # stars and bars: n - 1 bars among k + n - 1 slots make one length
+        # vector summing to k, and the bars come in ascending lexicographic order
+        for bars in itertools.combinations(range(k + n - 1), n - 1):
+            ends = (-1, *bars, k + n - 1)
+            lengths = [b - a - 1 for a, b in zip(ends, ends[1:])]
             coords: list[Sequence[str]] = [
                 ["".join(bits) for bits in itertools.product("01", repeat=m)]
                 for m in lengths

@@ -502,10 +502,15 @@ def element_to_json_dict(g: Element) -> dict:
 
 
 def element_from_json_dict(data: dict) -> Element:
+    pieces = data.get("pieces") if type(data) is dict else None
+    if type(pieces) is not list or "n" not in data:
+        raise ValueError("the top level must be an object with n and a pieces array")
     n = data["n"]
     if type(n) is not int:
         raise ValueError(f"n must be an integer, not {type(n).__name__}")
-    words = [(p["dom"], p["ran"]) for p in data["pieces"]]
+    if any(type(p) is not dict or not p.keys() >= {"dom", "ran"} for p in pieces):
+        raise ValueError("each piece must be an object with dom and ran")
+    words = [(p["dom"], p["ran"]) for p in pieces]
     if any(type(w) is not list for pair in words for w in pair):
         raise ValueError("dom and ran must be arrays of words")
     e = Element.from_pieces(AffinePiece(Rect(tuple(u)), Rect(tuple(v))) for u, v in words)

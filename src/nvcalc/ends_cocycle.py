@@ -235,8 +235,8 @@ def _cylinder_levels(
 
 
 def _check_depth(depth: int) -> None:
-    """Reject a depth no count path takes: a negative one, or ``MAX_MEMBERS``
-    or more (a truncation lists depth + 1 counts)."""
+    """Reject a depth the count path does not take: a negative one, or
+    ``MAX_MEMBERS`` or more (a truncation lists depth + 1 counts)."""
     if depth < 0:
         raise ValueError("depth must be >= 0")
     if depth >= MAX_MEMBERS:
@@ -371,12 +371,8 @@ def sym_diff_truncated(g: Element, depth: int) -> TruncatedCocycle:
     from the closed form; raises ValueError as soon as their running total
     passes ``MAX_MEMBERS``, before any member is listed.
     """
-    sides = [failing_cylinders(h, depth) for h in (inverse(g), g)]
-    counts = _closed_counts(sides, depth, MAX_MEMBERS)
-    if counts is None:
-        raise ValueError(
-            f"the truncation at depth {depth} has more than {MAX_MEMBERS} members"
-        )
+    too_many = f"the truncation at depth {depth} has more than {MAX_MEMBERS} members"
+    counts, sides = _closed_counts(g, inverse(g), depth, MAX_MEMBERS, too_many)
     levels = (chain.from_iterable(_cylinder_levels(*side, depth)[1:]) for side in sides)
     return TruncatedCocycle(g, counts, *map(tuple, levels))
 
@@ -385,25 +381,27 @@ def cocycle_counts(g: Element, depth: int) -> TruncatedCocycle:
     """``sym_diff_truncated(g, depth)`` with both member lists left empty:
     the same counts, verdict and norm, in closed form from the cylinders.
     Raises ValueError when the total is too large for a float norm."""
-    sides = [failing_cylinders(h, depth) for h in (inverse(g), g)]
-    counts = _closed_counts(sides, depth, sys.float_info.max)
-    if counts is None:
-        raise ValueError(f"the total at depth {depth} is too large for a float norm")
+    too_large = f"the total at depth {depth} is too large for a float norm"
+    counts, _ = _closed_counts(g, inverse(g), depth, sys.float_info.max, too_large)
     return TruncatedCocycle(g, counts)
 
 
-def _closed_counts(sides: list, depth: int, limit: float) -> tuple[int, ...] | None:
-    """The cumulative counts of X Δ gX from the cylinders of g^{-1} and of g
-    (X - gX, then gX - X), with no member built; None once the total passes
-    ``limit``, which stops the sums of a huge truncation early."""
+def _closed_counts(
+    g: Element, g_inv: Element, depth: int, limit: float, error: str
+) -> tuple:
+    """The one count path: the cumulative counts of X Δ gX, summed in closed
+    form from the searches of g^{-1} (X - gX) and of g (gX - X), returned
+    with the two searches; no member is built.  Raises ValueError(``error``)
+    once the total passes ``limit``, which stops a huge sum early.  At one
+    depth g^{-1} has g's counts, since its two searches are g's swapped:
+    ``properness_bound_check`` counts each pair {g, g^{-1}} once."""
+    sides = [failing_cylinders(h, depth) for h in (g_inv, g)]
     sizes = [_level_sizes(*side, depth, limit) for side in sides]
-    counts = None if None in sizes else _counts(*sizes)
-    return counts if counts and counts[-1] <= limit else None
-
-
-def _counts(out_sizes: list[int], in_sizes: list[int]) -> tuple[int, ...]:
-    """Cumulative counts from level sizes; depth 0, the cube, names no coset."""
-    return tuple(accumulate(map(add, out_sizes[1:], in_sizes[1:]), initial=0))
+    if None not in sizes:  # depth 0, the cube, names no coset
+        counts = tuple(accumulate(map(add, sizes[0][1:], sizes[1][1:]), initial=0))
+        if counts[-1] <= limit:
+            return counts, sides
+    raise ValueError(error)
 
 
 def cocycle_identity_check(
@@ -624,7 +622,10 @@ def properness_bound_check(
     coset action.  Elements whose truncation is still growing are reported
     as findings, never asserted either way.  ``params["bound_slack"]`` is
     the sorted histogram ``[[bound - pieces, count], ...]`` over the stable
-    elements.
+    elements.  Counts are memoised per element, and g^{-1} is handed g's
+    (``_closed_counts``).  Raises ValueError once a total passes
+    10^(4300 // n) - 5: past it, (total + 4)^n would not print within
+    Python's default 4,300-digit int-to-str limit.
     """
     if ball_radius < 0:
         raise ValueError("ball radius must be >= 0")
@@ -645,19 +646,18 @@ def properness_bound_check(
     )
     elements = _ball_elements(n, ball_radius)
     slack: Counter[int] = Counter()
-    sizes: dict[Element, list[int]] = {}  # the ball holds g^{-1}: count it once
-    half = (10 ** (4300 // n) - 5) // 2  # each side: (total + 4)^n fits 4,300 digits
+    known: dict[Element, tuple[int, ...]] = {}  # the ball holds g^{-1}: count it once
+    limit = 10 ** (4300 // n) - 5  # the total: (total + 4)^n fits 4,300 digits
     for label, g in elements:  # g is reduced: its depth and size are final
-        pieces, g_inv = len(g.pieces), inverse(g)
+        pieces = len(g.pieces)
         words = (w for p in g.pieces for w in (p.dom_words, p.ran_words))
         table_depth = max(map(len, map("".join, words)))
         d = depth if depth is not None else table_depth + 1  # also g^{-1}'s
-        for h in (g_inv, g):
-            if h not in sizes:
-                sizes[h] = _level_sizes(*failing_cylinders(h, d), d, half)
-                if sizes[h] is None:
-                    raise ValueError(f"the total at depth {d} is too large to report")
-        t = TruncatedCocycle(g, _counts(sizes[g_inv], sizes[g]))
+        if g not in known:  # g^{-1} has g's counts at d: its two sides swap
+            too_large = f"the total at depth {d} is too large to report"
+            g_inv = inverse(g)
+            known[g] = known[g_inv] = _closed_counts(g, g_inv, d, limit, too_large)[0]
+        t = TruncatedCocycle(g, known[g])
         bound = (t.total + 4) ** n
         word = label or "<empty>"
         if t.stable_depth is not None:

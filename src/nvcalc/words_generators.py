@@ -141,19 +141,6 @@ def format_word(word: Word) -> str:
     return " ".join(sym.format() for sym in word.symbols)
 
 
-def _embed_pieces(
-    n: int, table: list[tuple[dict[int, str], dict[int, str]]]
-) -> Element:
-    """Build an element from sparse {coordinate: word} piece descriptions."""
-
-    def rect(words: dict[int, str]) -> Rect:
-        return Rect(tuple(words.get(d, "") for d in range(1, n + 1)))
-
-    return Element.from_pieces(
-        AffinePiece(rect(dom), rect(ran)) for dom, ran in table
-    )
-
-
 def _check_index(i: int, note: str = "") -> None:
     """An index must lie in 0..256: building index i costs about i^2 (i + 2 or
     more pieces, words of up to i + 2 letters), at most ``MAX_PIECES``.
@@ -164,30 +151,20 @@ def _check_index(i: int, note: str = "") -> None:
         raise ValueError(f"index must be <= {isqrt(MAX_PIECES)}, got {i}{note}")
 
 
-def _raise_index(
-    base: list[tuple[dict[int, str], dict[int, str]]], i: int
-) -> list[tuple[dict[int, str], dict[int, str]]]:
-    """Index-raising rule: conjugate the base table into [0, 2^-i) x I^(n-1).
-
-    Prefix ``0^i`` to every coordinate-1 word on both sides and add the fixed
-    cells (1), (01), ..., (0^(i-1) 1) so the result is again a self-bijection
-    that fixes everything outside the left 2^-i slab.
-    """
+def _generator(n: int, base: list[tuple[dict, dict]], i: int) -> Element:
+    """A generator from its sparse {coordinate: word} base table, raised to
+    index ``i``: conjugated into [0, 2^-i) x I^(n-1) by prefixing ``0^i`` to
+    every coordinate-1 word on both sides, with the fixed cells (1), (01),
+    ..., (0^(i-1) 1) added, so it fixes everything outside that slab."""
     _check_index(i)
-    if i == 0:
-        return base
-    prefix = "0" * i
-    table = [
-        (
-            {**dom, 1: prefix + dom.get(1, "")},
-            {**ran, 1: prefix + ran.get(1, "")},
-        )
-        for dom, ran in base
-    ]
-    for j in range(i):
-        cell = {1: "0" * j + "1"}
-        table.append((cell, cell))
-    return table
+
+    def rect(words: dict[int, str]) -> Rect:  # prefixed in coordinate 1 only
+        words = {**words, 1: "0" * i + words.get(1, "")}
+        return Rect(tuple(words.get(d, "") for d in range(1, n + 1)))
+
+    pieces = [AffinePiece(rect(dom), rect(ran)) for dom, ran in base]
+    fixed = (Rect(("0" * j + "1",) + ("",) * (n - 1)) for j in range(i))
+    return Element.from_pieces(pieces + [AffinePiece(c, c) for c in fixed])
 
 
 @lru_cache(maxsize=None)
@@ -207,7 +184,7 @@ def make_X(d: int, i: int, n: int) -> Element:
             ({1: "01", d: ""}, {1: "1", d: "0"}),
             ({1: "1", d: ""}, {1: "1", d: "1"}),
         ]
-    return _embed_pieces(n, _raise_index(base, i))
+    return _generator(n, base, i)
 
 
 @lru_cache(maxsize=None)
@@ -219,7 +196,7 @@ def make_C(d: int, i: int, n: int) -> Element:
         ({1: "0", d: ""}, {1: "", d: "0"}),
         ({1: "1", d: ""}, {1: "", d: "1"}),
     ]
-    return _embed_pieces(n, _raise_index(base, i))
+    return _generator(n, base, i)
 
 
 @lru_cache(maxsize=None)
@@ -230,7 +207,7 @@ def make_pi(i: int, n: int) -> Element:
         ({1: "01"}, {1: "1"}),
         ({1: "1"}, {1: "01"}),
     ]
-    return _embed_pieces(n, _raise_index(base, i))
+    return _generator(n, base, i)
 
 
 @lru_cache(maxsize=None)
@@ -240,7 +217,7 @@ def make_pibar(i: int, n: int) -> Element:
         ({1: "0"}, {1: "1"}),
         ({1: "1"}, {1: "0"}),
     ]
-    return _embed_pieces(n, _raise_index(base, i))
+    return _generator(n, base, i)
 
 
 @lru_cache(maxsize=None)

@@ -508,6 +508,9 @@ def test_element_file_must_partition_the_cube(tmp_path, capsys, pieces, argv):
     assert err == "error: bad element file: pieces do not partition the cube\n"
 
 
+#: The shape error of a file that is not an object with ``n`` and ``pieces``.
+TOP_LEVEL = "the top level must be an object with n and a pieces array"
+
 #: The n = 2 quarters ("0","1") and ("1","0") swapped, each written as one
 #: string: read letter by letter, this file is a valid element.
 QUARTER_SWAP = [("00", "00"), ("01", "10"), ("10", "01"), ("11", "11")]
@@ -522,12 +525,22 @@ QUARTER_SWAP = [("00", "00"), ("01", "10"), ("10", "01"), ("11", "11")]
         ),
         ({"n": True, "pieces": [{"dom": [""], "ran": [""]}]}, "n must be an integer, not bool"),
         ({"n": "1", "pieces": [{"dom": [""], "ran": [""]}]}, "n must be an integer, not str"),
+        ([1], TOP_LEVEL),
+        (None, TOP_LEVEL),
+        ({"n": 1}, TOP_LEVEL),
+        ({"n": 1, "pieces": "ab"}, TOP_LEVEL),
+        ({"n": 1, "pieces": [["0"]]}, "each piece must be an object with dom and ran"),
     ],
-    ids=["string-dom", "bool-n", "string-n"],
+    ids=[
+        "string-dom", "bool-n", "string-n",
+        "array", "null", "no-pieces", "string-pieces", "array-piece",
+    ],
 )
 def test_element_file_fields_must_have_json_types(tmp_path, capsys, data, message):
     """A string ``dom`` once read as one word per letter, ``"n": true`` as
-    n = 1, and ``"n": "1"`` gave "declared dimension 1 != piece dimension 1"."""
+    n = 1, and ``"n": "1"`` gave "declared dimension 1 != piece dimension 1".
+    A file of the wrong shape exited with Python's own error text, such as
+    "'NoneType' object is not subscriptable", which names no field."""
     path = tmp_path / "g.json"
     path.write_text(json.dumps(data), encoding="utf-8")
     code, out, err = run(capsys, ["eval", "--element-file", str(path)])

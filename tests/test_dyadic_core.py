@@ -264,11 +264,20 @@ def test_enumerate_rects_is_complete_and_deterministic(n, D):
     assert len(set(rects)) == len(rects)
     assert all(1 <= r.depth <= D for r in rects)  # the whole cube is excluded
     assert rects == list(enumerate_rects(n, D))
+    assert rects == sorted(rects, key=lambda r: (r.depth, tuple(map(len, r.words)), r.words))
     # per-depth census: compositions of k into n parts, two letters per slot
     from math import comb
 
     for k in range(1, D + 1):
         assert sum(1 for r in rects if r.depth == k) == comb(k + n - 1, n - 1) * 2**k
+
+
+def test_enumerate_rects_at_high_dimension_visits_only_valid_length_vectors():
+    """At n = 20 there are 3^20 vectors in {0, 1, 2}^20 but only 230 of total
+    length 1 or 2; enumeration must walk those alone, so this returns at once."""
+    rects = list(enumerate_rects(20, 2))
+    assert len(rects) == count_rects(20, 2) == 880
+    assert rects == sorted(rects, key=lambda r: (r.depth, tuple(map(len, r.words)), r.words))
 
 
 def test_enumerate_rects_builds_without_validation():

@@ -312,6 +312,18 @@ def test_truncation_record_derives_every_verdict_field_from_its_counts(data):
     assert cocycle_counts(g, depth) == TruncatedCocycle(g, t.counts)
 
 
+@given(
+    st.integers(1, 3), st.integers(1, 12), st.integers(0, 2**32 - 1), st.integers(0, 8)
+)
+@settings(max_examples=60, deadline=None)
+def test_an_inverse_has_the_same_counts(n, size, seed, depth):
+    """X Δ g^{-1}X has the counts of X Δ gX at every depth: the two searches
+    of g^{-1} are those of g, swapped.  ``properness_bound_check`` memoises
+    one count per pair {g, g^{-1}} on this ground."""
+    g = random_element(n, size, seed)
+    assert cocycle_counts(inverse(g), depth).counts == cocycle_counts(g, depth).counts
+
+
 def test_sym_diff_identity_is_empty():
     t = sym_diff_truncated(identity(1), 5)
     assert t.total == 0 and t.verdict == "STABLE(0)"
@@ -537,7 +549,7 @@ def test_properness_rejects_a_depth_before_building_the_ball(depth, message):
 
 
 def test_properness_totals_stop_before_a_label_passes_4300_digits():
-    """Each side's total is capped so that ``(total + 4)^n`` prints within
+    """The total is capped so that ``(total + 4)^n`` prints within
     Python's default 4,300-digit int-to-str limit.  At n = 2 and radius 1,
     depth 7,139 still reports (its growing labels print totals of over 2,000
     digits) and depth 7,140 is rejected, naming the depth."""

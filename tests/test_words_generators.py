@@ -148,6 +148,18 @@ def test_index_raising_structure():
     got = table(make_pibar(2, 1))
     assert (("001",), ("000",)) in got and (("000",), ("001",)) in got
     assert (("01",), ("01",)) in got and (("1",), ("1",)) in got
+    assert table(make_X(2, 1, 2)) == [
+        (("000", ""), ("00", "")),
+        (("001", ""), ("01", "0")),
+        (("01", ""), ("01", "1")),
+        (("1", ""), ("1", "")),
+    ]
+    assert table(make_C(2, 2, 2)) == [
+        (("000", ""), ("00", "0")),
+        (("001", ""), ("00", "1")),
+        (("01", ""), ("01", "")),
+        (("1", ""), ("1", "")),
+    ]
 
 
 @pytest.mark.parametrize("i", [1, 2, 3])
