@@ -22,7 +22,6 @@ __version__ = "0.1.0"
 
 from nvcalc.dyadic_core import (  # noqa: F401
     Rect,
-    corners,
     corner_projections,
     enumerate_rects,
     halve,

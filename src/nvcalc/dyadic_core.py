@@ -27,7 +27,6 @@ __all__ = [
     "Rect",
     "contains_point",
     "corner_projections",
-    "corners",
     "count_rects",
     "enumerate_rects",
     "halve",
@@ -164,18 +163,6 @@ def is_partition(rects: Iterable[Rect]) -> bool:
             if rect_intersect(a, b) is not None:
                 return False
     return True
-
-
-def corners(cells: Sequence[Rect]) -> frozenset[Point]:
-    """All corner points of the cells (deduplicated).
-
-    Each cell contributes the ``2^n`` points whose d-th coordinate is either
-    endpoint of its d-th interval; the upper endpoint may equal 1.
-    """
-    pts: set[Point] = set()
-    for r in cells:
-        pts.update(itertools.product(*r.intervals()))
-    return frozenset(pts)
 
 
 def corner_projections(cells: Sequence[Rect]) -> tuple[frozenset[Fraction], ...]:

@@ -346,31 +346,35 @@ def is_affine_on(g: Element, r: Rect) -> AffinePiece | None:
     is genuinely piecewise.  Note that agreeing slopes and continuity are not
     enough: the restriction counts as affine only when its image is again a
     standard dyadic rectangle, i.e. when it is a prefix substitution.
-
-    The target W is read off the words of the candidates meeting ``r``: a
-    piece that cuts a word w of ``r`` to w + s must have range word W + s.
     The test oracle in ``tests/oracles.py`` recovers it from ``restrict(g, r)``.
     """
     if g.dim != r.dim:
         raise ValueError(f"dimension mismatch: {g.dim} vs {r.dim}")
+    target = _affine_target(_candidates(g, r.words), r.words)
+    return None if target is None else AffinePiece._trusted(r.words, target)
+
+
+def _affine_target(pieces: Iterable[AffinePiece], words: tuple[str, ...]) -> tuple | None:
+    """The range words W of the one substitution ``words`` -> W on which the
+    ``pieces`` meeting the rectangle ``words`` agree, or None; pieces that
+    miss it are skipped.  A piece that cuts a word w to w + s must have range
+    word W + s."""
     target = None
-    for piece in _candidates(g, r.words):
-        words, fits = [], True
-        for w, u, v in zip(r.words, piece.dom_words, piece.ran_words):
+    for piece in pieces:
+        out, fits = [], True
+        for w, u, v in zip(words, piece.dom_words, piece.ran_words):
             if u.startswith(w):  # the piece cuts w to u = w + s: v must be W + s
                 fits = fits and v.endswith(u[len(w):])
-                words.append(v[: len(v) - len(u) + len(w)])
+                out.append(v[: len(v) - len(u) + len(w)])
             elif w.startswith(u):  # w lies inside u
-                words.append(v + w[len(u):])
+                out.append(v + w[len(u):])
             else:
-                break  # disjoint from r
-        else:  # the piece meets r, so only now may it reject r
-            if not fits or (target is not None and words != target):
+                break  # disjoint from the rectangle
+        else:  # the piece meets the rectangle, so only now may it reject it
+            if not fits or (target is not None and out != target):
                 return None
-            target = words
-    if target is None:
-        return None
-    return AffinePiece._trusted(r.words, tuple(target))
+            target = out
+    return None if target is None else tuple(target)
 
 
 def is_identity_on(g: Element, r: Rect) -> bool:

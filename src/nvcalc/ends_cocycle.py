@@ -27,7 +27,10 @@ So the search runs over cut tuples T (len(T_d) <= L_d), a finite box.
 Failing tuples are closed under dropping a last letter (a substitution on a
 rectangle restricts to one on each child), so a pruned breadth-first search
 that extends only unsaturated coordinates (len(T_d) < L_d) finds every
-failing T with one affinity test each.  The failing rectangles of depth d
+failing T.  Each T carries the list of g's pieces that meet it, cut from
+its parent's list in the extended coordinate; T is tested on that list
+alone, and not at all when one piece meets it (T then lies inside that
+piece's domain).  The failing rectangles of depth d
 are the cylinder members: T with e = d - |T| letters appended to its s
 saturated coordinates in every way, C(e+s-1, s-1) * 2^e of them (one, at
 e = 0, when s = 0).  Counts therefore need no member at all.
@@ -50,14 +53,12 @@ from dataclasses import dataclass
 from fractions import Fraction
 from functools import cache, cached_property
 from itertools import accumulate, chain
-from operator import add, attrgetter, eq
+from operator import add, attrgetter, eq, le, lt
 
 from nvcalc.dyadic_core import (
     Point,
     Rect,
-    contains_point,
     corner_projections,
-    corners,
     count_rects,
     enumerate_rects,
     rect_Il,
@@ -66,6 +67,7 @@ from nvcalc.dyadic_core import (
 from nvcalc.element_algebra import (
     AffinePiece,
     Element,
+    _affine_target,
     _agrees,
     _compose_pieces,
     compose,
@@ -189,22 +191,33 @@ def failing_cylinders(
     T (len(T_d) <= L_d) with |T| <= ``depth``, in (|T|, words) order.
 
     The breadth-first search extends only unsaturated coordinates, so it
-    tests each T once and ends inside the finite box (module docstring).
+    meets each T once and ends inside the finite box (module docstring).
+    T carries the pieces that meet it: the root all of g's, a child those of
+    its parent's whose word in the extended coordinate is a prefix or an
+    extension of the child's.  A T met by one piece passes untested.
     """
     if depth < 0:
         raise ValueError("depth must be >= 0")
     n = g.dim
     cut = tuple(max(len(p.dom_words[d]) for p in g.pieces) for d in range(n))
-    found, level = [], [("",) * n]
+    found, level = [], {("",) * n: g.pieces}
     for _ in range(min(depth, sum(cut)) + 1):
-        level = sorted(w for w in level if is_affine_on(g, Rect._trusted(w)) is None)
-        if not level:
+        failing = [
+            w for w in sorted(level)
+            if len(level[w]) > 1 and _affine_target(level[w], w) is None
+        ]
+        if not failing:
             break
-        found += level
-        level = {
-            w[:k] + (w[k] + b,) + w[k + 1 :]
-            for w in level for k in range(n) if len(w[k]) < cut[k] for b in "01"
-        }
+        found += failing
+        meets, level = level, {}
+        for w in failing:  # a piece meeting w meets w[k] + b unless its
+            for k in range(n):  # word goes on past w[k] with the other letter
+                m = len(w[k])
+                for b in "01" if m < cut[k] else ():
+                    t = w[:k] + (w[k] + b,) + w[k + 1 :]
+                    level[t] = level.get(t) or [
+                        p for p in meets[w] if p.dom_words[k][m : m + 1] in ("", b)
+                    ]
     return cut, found
 
 
@@ -538,11 +551,6 @@ class FPProbeResult:
         }
 
 
-def _closure_contains(r: Rect, p: Point) -> bool:
-    """Closed membership: every coordinate satisfies ``lo <= x <= hi``."""
-    return all(lo <= x <= hi for (lo, hi), x in zip(r.intervals(), p))
-
-
 def f_P_probe(
     g: Element, depth: int, corner_mode: str = "closed"
 ) -> FPProbeResult:
@@ -551,25 +559,35 @@ def f_P_probe(
     ``corner_mode`` is "closed" (corners may lie on the boundary of a member
     rectangle) or "half_open" (members must contain the corner in the
     half-open sense); it only affects the companion corner-meets member list.
-    Raises ValueError when depth 1..``depth`` holds more than ``MAX_MEMBERS``
-    rectangles, before any is listed.
+    A cell has a corner in r iff in every coordinate one of its endpoints
+    lies in r's interval.  Raises ValueError, before any rectangle is listed,
+    when depth 1..``depth`` holds more than ``MAX_MEMBERS`` rectangles, or
+    more than 2^20 probe values (n points of n coordinates per rectangle).
     """
     if corner_mode not in ("closed", "half_open"):
         raise ValueError(f"unknown corner mode {corner_mode!r}")
     n = g.dim
     # count_rects(n, D) >= 2^D grows with D, so counting up to the budget's
     # bit length decides the comparison without a long sum for a huge depth.
-    if count_rects(n, min(depth, MAX_MEMBERS.bit_length())) > MAX_MEMBERS:
+    rects = count_rects(n, min(depth, MAX_MEMBERS.bit_length()))
+    if rects > MAX_MEMBERS:
         raise ValueError(f"depth {depth} lists more than {MAX_MEMBERS} rectangles")
-    meets = contains_point if corner_mode == "half_open" else _closure_contains
+    if rects * n * n > 2**20:
+        raise ValueError(f"depth {depth} in dimension {n}: over {2**20} probe values")
+    below = le if corner_mode == "closed" else lt  # a corner against r's top
     pattern = tuple(p.dom for p in simplify(g).pieces)
-    corner_set = corners(pattern)
+    cells = [cell.intervals() for cell in pattern]
     members: list[Rect] = []
     corner_members: list[Rect] = []
     for r in enumerate_rects(n, depth):
         if not any(rect_intersect(r, cell) == r for cell in pattern):
             members.append(r)
-        if any(meets(r, q) for q in corner_set):
+        box = r.intervals()
+        if any(
+            all(lo <= a and below(a, hi) or lo <= b and below(b, hi)
+                for (lo, hi), (a, b) in zip(box, cell))
+            for cell in cells
+        ):
             corner_members.append(r)
     return FPProbeResult(
         n, depth, corner_mode, pattern, tuple(members), tuple(corner_members)

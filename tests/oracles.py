@@ -5,8 +5,11 @@ The program answers "do two rectangles meet" with ``rect_intersect`` and
 functions here answer the same questions the older way, one rectangle at a
 time: the five-way ``rect_relation``, the piece methods ``image_of`` and
 ``restrict_to`` (as functions of the piece), and ``affine_extension``, which
-recovers the one substitution from a restricted piece table.  Tests import
-them to check the word kernel against them.  ``cocycle_identity_reference``
+recovers the one substitution from a restricted piece table.  ``corners``
+lists a pattern's corner points, 2^n per cell, and ``corner_members`` tests
+rectangles against them point by point, the reference for ``f_P_probe``'s
+per-coordinate test.  Tests import them to check the word kernel against
+them.  ``cocycle_identity_reference``
 is the cocycle identity check with every translation made afresh and every
 coset pair compared by the word walk, the reference for the memoised one.
 
@@ -26,9 +29,18 @@ afresh and one composition per unit of exponent, and an expansion as a full
 from __future__ import annotations
 
 import enum
+import itertools
 from typing import Sequence
 
-from nvcalc.dyadic_core import Rect, enumerate_rects, halve, rect_Il, rect_Ir
+from nvcalc.dyadic_core import (
+    Point,
+    Rect,
+    contains_point,
+    enumerate_rects,
+    halve,
+    rect_Il,
+    rect_Ir,
+)
 from nvcalc.element_algebra import (
     AffinePiece,
     Element,
@@ -86,6 +98,31 @@ def rect_relation(a: Rect, b: Rect) -> RectRelation:
     if all(rel in widening for rel in per_coord):
         return RectRelation.B_CONTAINS_A
     return RectRelation.PARTIAL_OVERLAP
+
+
+def corners(cells: Sequence[Rect]) -> frozenset[Point]:
+    """All corner points of the cells (deduplicated).
+
+    Each cell contributes the ``2^n`` points whose d-th coordinate is either
+    endpoint of its d-th interval; the upper endpoint may equal 1.
+    """
+    return frozenset(p for r in cells for p in itertools.product(*r.intervals()))
+
+
+def corner_members(
+    pattern: Sequence[Rect], depth: int, corner_mode: str
+) -> tuple[Rect, ...]:
+    """The rectangles of depth 1..``depth`` whose closure ("closed") or
+    half-open extent ("half_open") holds a corner of ``pattern``, each
+    rectangle tested against every corner point."""
+
+    def closed(r: Rect, p: Point) -> bool:
+        return all(lo <= x <= hi for (lo, hi), x in zip(r.intervals(), p))
+
+    meets = contains_point if corner_mode == "half_open" else closed
+    points = corners(pattern)
+    rects = enumerate_rects(pattern[0].dim, depth)
+    return tuple(r for r in rects if any(meets(r, q) for q in points))
 
 
 def image_of(piece: AffinePiece, sub: Rect) -> Rect:

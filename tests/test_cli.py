@@ -429,6 +429,15 @@ def test_fprobe_command(capsys):
     assert payload2["config"]["corner_mode"] == "half_open"
 
 
+def test_fprobe_value_table_bound_exits_two(capsys):
+    """Dimension 30 at depth 2 would list 1,920 rectangles with 30 probe
+    points of 30 coordinates each; the run stops before the first."""
+    argv = ["fprobe", "--n", "30", "--word", "P[0]", "--depth", "2"]
+    code, out, err = run(capsys, argv)
+    assert (code, out) == (2, "")
+    assert err == "error: depth 2 in dimension 30: over 1048576 probe values\n"
+
+
 def test_properness_command(capsys):
     code, payload, _ = run_json(capsys, ["properness", "--n", "1", "--ball", "2"])
     assert code == 0

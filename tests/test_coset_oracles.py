@@ -24,8 +24,10 @@ from hypothesis import strategies as st
 from nvcalc.dyadic_core import Rect, count_rects, enumerate_rects, halve, rect_Il
 from nvcalc.element_algebra import (
     AffinePiece,
+    _affine_target,
     _agrees,
     compose,
+    expansion,
     inverse,
     is_affine_on,
     random_element,
@@ -45,6 +47,7 @@ from nvcalc.ends_cocycle import (
 )
 from nvcalc.words_generators import gen_set_S
 from oracles import affine_extension, cocycle_identity_reference
+from test_kernel_oracles import pinwheel_element
 
 # ---------------------------------------------------------------------------
 # reference implementations
@@ -278,15 +281,51 @@ def test_cylinders_match_memoised_search_on_letters(n):
 
 
 @pytest.mark.parametrize("n", [1, 2, 3])
-def test_cylinder_search_makes_the_same_affinity_tests(n):
-    """The cylinder search makes exactly the memoised search's affinity tests."""
+def test_cylinder_search_makes_no_more_affinity_tests(n):
+    """The cylinder search runs the shared affinity routine at most as often
+    as the memoised search does through ``is_affine_on`` (once per cut
+    rectangle), and less often over each n's letters: a tuple met by one
+    piece is not tested."""
     depth = LEVEL_DEPTHS[n]
+    totals = Counter()
     for g in letters(n):
-        with mock.patch(f"{__name__}.is_affine_on", wraps=is_affine_on) as old:
+        with mock.patch(
+            "nvcalc.element_algebra._affine_target", wraps=_affine_target
+        ) as old:
             failing_rects_memoised(g, depth)
-        with mock.patch("nvcalc.ends_cocycle.is_affine_on", wraps=is_affine_on) as new:
+        with mock.patch("nvcalc.ends_cocycle._affine_target", wraps=_affine_target) as new:
             failing_cylinders(g, depth)
-        assert new.call_count == old.call_count
+        assert new.call_count <= old.call_count
+        totals.update(old=old.call_count, new=new.call_count)
+    assert totals["new"] < totals["old"]
+
+
+@pytest.mark.parametrize("embedded", [False, True], ids=["top", "embedded"])
+@given(seed=st.integers(0, 10**6))
+@settings(max_examples=40, deadline=None)
+def test_cylinders_match_memoised_search_on_pinwheels(embedded, seed):
+    """n = 3 tables built on the pinwheel, a cell that no coordinate halves."""
+    check_cylinders(pinwheel_element(random.Random(seed), embedded), LEVEL_DEPTHS[3])
+
+
+def test_cylinders_match_memoised_search_on_a_large_pinwheel():
+    """A 1,028-piece pinwheel over the whole cube, each expansion in the
+    shortest coordinate its piece does not span, so no coordinate halves
+    the cube and the halving tree's candidates are the whole table.  Its
+    box (L = (10, 9, 9)) is too large to search whole, so the depth stays
+    finite."""
+    rng = random.Random(1)
+    g = pinwheel_element(rng, embedded=False)
+    while len(g.pieces) < 1028:
+        i = rng.randrange(len(g.pieces))
+        words = g.pieces[i].dom_words
+        d = min((d for d in range(3) if words[d]), key=lambda d: len(words[d]))
+        g = expansion(g, i, d + 1)
+    cut, cylinders = failing_cylinders(g, 5)
+    assert len(g.pieces) == 1028 and "_tree" not in vars(g)  # never built
+    levels = _cylinder_levels(cut, cylinders, 5)
+    assert levels == failing_rects_memoised(g, 5)
+    assert _level_sizes(cut, cylinders, 5) == [len(level) for level in levels]
 
 
 def test_cylinder_search_rejects_negative_depth():

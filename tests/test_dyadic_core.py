@@ -13,7 +13,6 @@ from nvcalc.dyadic_core import (
     Rect,
     contains_point,
     corner_projections,
-    corners,
     count_rects,
     enumerate_rects,
     halve,
@@ -24,7 +23,7 @@ from nvcalc.dyadic_core import (
     word_interval,
 )
 from nvcalc.element_algebra import _random_leaves
-from oracles import RectRelation, rect_relation
+from oracles import RectRelation, corners, rect_relation
 
 F = Fraction
 

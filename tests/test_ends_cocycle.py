@@ -442,6 +442,23 @@ def test_f_P_probe_rectangle_budget_trips_before_listing(monkeypatch):
     assert not listing.called
 
 
+def test_f_P_probe_value_table_bound_admits_dimension_20():
+    """880 rectangles of depth 1..2 in dimension 20: at most 880 * 20 * 20
+    = 352,000 probe values, under the 2^20 bound."""
+    assert count_rects(20, 2) * 20 * 20 <= 2**20
+    result = f_P_probe(make_pi(0, 20), 2)
+    assert len(result.members) == 837 and len(result.pattern) == 3
+
+
+def test_f_P_probe_value_table_bound_trips_before_listing():
+    """1,920 rectangles in dimension 30 would carry 1,728,000 values."""
+    assert count_rects(30, 2) * 30 * 30 > 2**20
+    with mock.patch("nvcalc.ends_cocycle.enumerate_rects") as listing:
+        with pytest.raises(ValueError, match="dimension 30: over 1048576 probe values"):
+            f_P_probe(make_pi(0, 30), 2)
+    assert not listing.called
+
+
 def test_f_P_probe_halfswap_two_dimensions_frozen():
     r = f_P_probe(PB2, 1)
     assert [m.words for m in r.members] == [("", "0"), ("", "1")]

@@ -4,7 +4,9 @@
 meet", "do they tile the cube" and "is the coset in X" on word tuples.  The
 oracles in ``tests/oracles.py`` answer the same questions through the
 five-way ``rect_relation`` and ``affine_extension``; both must agree on
-hypothesis draws in dimensions 1..3.
+hypothesis draws in dimensions 1..3.  ``f_P_probe`` finds the rectangles
+that hold a corner of a pattern one coordinate at a time; the oracle
+``corner_members`` tests every corner point.
 """
 
 import random
@@ -13,16 +15,22 @@ from hypothesis import given, settings
 from hypothesis import strategies as st
 
 from nvcalc.dyadic_core import Rect, is_partition, rect_Il, rect_intersect
-from nvcalc.element_algebra import _random_leaves, random_element
+from nvcalc.element_algebra import _random_leaves, inverse, random_element
 from nvcalc.ends_cocycle import (
     CosetRep,
     coset_of,
     coset_translate,
+    f_P_probe,
     in_X,
     rect_to_coset,
 )
 from nvcalc.words_generators import gen_set_S
-from oracles import RectRelation, affine_extension, rect_relation
+from oracles import (
+    RectRelation,
+    affine_extension,
+    corner_members,
+    rect_relation,
+)
 
 words = st.text(alphabet="01", max_size=4)
 nonempty_words = st.text(alphabet="01", min_size=1, max_size=3)
@@ -142,3 +150,21 @@ def test_in_X_agrees_with_affine_extension_on_cosets_and_translates(seed, n, in_
         assert in_X(c) == in_X_by_extension(c)
     if in_family:
         assert in_X(cosets[0]) == r
+
+
+PROBE_DEPTHS = {1: 6, 2: 4, 3: 3}
+
+
+@given(st.integers(0, 10**6), st.integers(1, 3), st.sampled_from(["closed", "half_open"]))
+@settings(max_examples=60, deadline=None)
+def test_probe_corner_members_match_the_corner_points(seed, n, corner_mode):
+    """A random element or a letter of S or its inverse."""
+    rng = random.Random(seed)
+    letters = [e for _, g in gen_set_S(n) for e in (g, inverse(g))]
+    if rng.random() < 0.5:
+        g = random_element(n, rng.randint(1, 24), rng)
+    else:
+        g = rng.choice(letters)
+    result = f_P_probe(g, PROBE_DEPTHS[n], corner_mode)
+    expected = corner_members(result.pattern, PROBE_DEPTHS[n], corner_mode)
+    assert result.members_corner_meets == expected
