@@ -415,8 +415,10 @@ def merge_pieces(pieces: Iterable[AffinePiece]) -> tuple[AffinePiece, ...]:
     while i < len(keys):
         key = keys[i]
         for d, w in enumerate(key):
+            if not w.endswith("0"):  # build the n-tuple key only for a 0-word
+                continue
             sibling_key = key[:d] + (w[:-1] + "1",) + key[d + 1:]
-            if w.endswith("0") and sibling_key in current:
+            if sibling_key in current:
                 merged = _merge_partner(current[key], current[sibling_key], d)
                 if merged is not None:
                     break

@@ -53,7 +53,7 @@ from dataclasses import dataclass
 from fractions import Fraction
 from functools import cache, cached_property
 from itertools import accumulate, chain
-from operator import add, attrgetter, eq, le, lt
+from operator import attrgetter, eq, le, lt
 
 from nvcalc.dyadic_core import (
     Point,
@@ -73,7 +73,6 @@ from nvcalc.element_algebra import (
     compose,
     identity,
     inverse,
-    is_affine_on,
     merge_pieces,
     restrict,
     simplify,
@@ -143,8 +142,8 @@ def in_X(c: CosetRep) -> Rect | None:
     """The X-membership certificate of a coset kH, or None: the rectangle
     k(I_l) when k is a single prefix substitution on I_l.  Membership in a
     translate gX is ``in_X(coset_translate(inverse(g), c))``."""
-    ext = is_affine_on(Element(c.n, c.restriction), rect_Il(c.n))
-    return None if ext is None else ext.ran
+    target = _affine_target(c.restriction, rect_Il(c.n).words)
+    return None if target is None else Rect._trusted(target)
 
 
 def complement_partition(r: Rect) -> tuple[Rect, ...]:
@@ -254,29 +253,6 @@ def _check_depth(depth: int) -> None:
         raise ValueError("depth must be >= 0")
     if depth >= MAX_MEMBERS:
         raise ValueError(f"depth must be < {MAX_MEMBERS}, got {depth}")
-
-
-def _level_sizes(
-    cut: tuple[int, ...],
-    cylinders: list[tuple[str, ...]],
-    depth: int,
-    limit: float = math.inf,
-) -> list[int] | None:
-    """``_cylinder_levels``' lengths in closed form: T with s >= 1 saturated
-    coordinates has C(e+s-1, s-1) * 2^e members of depth |T| + e.  Returns
-    None as soon as the members of depth >= 1 pass ``limit``.  Raises
-    ValueError for a depth ``_check_depth`` rejects, before the list is made."""
-    _check_depth(depth)
-    sizes, total = [0] * (depth + 1), 0
-    for t in cylinders:
-        size, s = sum(map(len, t)), sum(map(eq, map(len, t), cut))
-        for e in range(depth - size + 1 if s else 1):
-            k = math.comb(e + s - 1, e) << e if s else 1
-            sizes[size + e] += k
-            total += k
-            if total - sizes[0] > limit:
-                return None
-    return sizes
 
 
 _GROWING_FINDING = (
@@ -404,17 +380,27 @@ def _closed_counts(
 ) -> tuple:
     """The one count path: the cumulative counts of X Δ gX, summed in closed
     form from the searches of g^{-1} (X - gX) and of g (gX - X), returned
-    with the two searches; no member is built.  Raises ValueError(``error``)
-    once the total passes ``limit``, which stops a huge sum early.  At one
-    depth g^{-1} has g's counts, since its two searches are g's swapped:
+    with the two searches; no member is built.  A failing cut tuple T with
+    s >= 1 saturated coordinates has C(e+s-1, s-1) * 2^e members of depth
+    |T| + e, one with s = 0 only itself; depth 0, the cube, names no coset
+    and is skipped.  Raises ValueError for a depth ``_check_depth`` rejects,
+    before either search, and ValueError(``error``) the moment the running
+    total passes ``limit``, which stops a huge sum early.  At one depth
+    g^{-1} has g's counts, since its two searches are g's swapped:
     ``properness_bound_check`` counts each pair {g, g^{-1}} once."""
+    _check_depth(depth)
     sides = [failing_cylinders(h, depth) for h in (g_inv, g)]
-    sizes = [_level_sizes(*side, depth, limit) for side in sides]
-    if None not in sizes:  # depth 0, the cube, names no coset
-        counts = tuple(accumulate(map(add, sizes[0][1:], sizes[1][1:]), initial=0))
-        if counts[-1] <= limit:
-            return counts, sides
-    raise ValueError(error)
+    sizes, total = [0] * (depth + 1), 0
+    for cut, cylinders in sides:
+        for t in cylinders:
+            size, s = sum(map(len, t)), sum(map(eq, map(len, t), cut))
+            for e in range(size == 0, depth - size + 1 if s else 1):  # no cube
+                k = math.comb(e + s - 1, e) << e if s else 1
+                sizes[size + e] += k
+                total += k
+                if total > limit:
+                    raise ValueError(error)
+    return tuple(accumulate(sizes[1:], initial=0)), sides
 
 
 def cocycle_identity_check(

@@ -29,7 +29,7 @@ import re
 from dataclasses import dataclass
 from functools import lru_cache
 from math import isqrt
-from typing import Callable
+from typing import Callable, Sequence
 
 from nvcalc.dyadic_core import Rect, rect_Ir
 from nvcalc.element_algebra import (
@@ -235,28 +235,48 @@ def _symbol_element(sym: GenSymbol, n: int) -> Element:
     return _generator_inverse(e) if sym.exp < 0 else e
 
 
+#: The most letters an ``eval_word`` step may hold (pieces x n x longest word):
+#: ``X[1,0]^k`` has k + 2 pieces but words of up to k + 1 letters.
+MAX_LETTERS = 2**26
+
+
+def _check_letters(pieces: Sequence[AffinePiece], n: int) -> int:
+    """The longest word; ValueError if pieces x n x it pass ``MAX_LETTERS``."""
+    longest = max(max(map(len, p.dom_words + p.ran_words)) for p in pieces)
+    if len(pieces) * n * longest > MAX_LETTERS:
+        raise ValueError(f"a power or product would hold over {MAX_LETTERS} letters")
+    return longest
+
+
 def eval_word(word: Word | str, n: int) -> Element:
     """Evaluate a word to an element; the right factor acts first.
 
     ``n`` is checked once, at the boundary, by ``Rect.cube(n)``.  The fold runs
     on bare piece lists from the first factor's pieces (the empty word gives
-    ``identity(n)``), sorting once.
-    Generators, their inverses and the S2 quotients are built once per
-    dimension; squares ``e^(2^j)`` and results by word are not cached."""
+    ``identity(n)``), sorting once.  Generators, their inverses and the S2
+    quotients are built once per dimension; squares ``e^(2^j)`` and results
+    by word are not cached.  A step's longest word is bounded (i + 2 at index
+    i, summed by a fold, doubled by a square) and read exactly once pieces x
+    n x bound pass ``MAX_LETTERS``: ValueError if that passes it too."""
     if isinstance(word, str):
         word = parse_word(word)
     Rect.cube(n)
-    acc = None
+    acc, acc_max = None, 0
     for sym in reversed(word.symbols):
         # e**k by squaring, folded in from the left (composing is associative
         # table for table): the left factor is e or a square, never the list.
-        e, k = _symbol_element(sym, n), abs(sym.exp)
+        e, k, e_max = _symbol_element(sym, n), abs(sym.exp), sym.i + 2
         while k:
             if k & 1:
                 acc = e.pieces if acc is None else _compose_pieces(e, acc)
+                acc_max += e_max
+                if len(acc) * n * acc_max > MAX_LETTERS:
+                    acc_max = _check_letters(acc, n)
             k >>= 1
             if k:
-                e = compose(e, e)
+                e, e_max = compose(e, e), 2 * e_max
+                if len(e.pieces) * n * e_max > MAX_LETTERS:
+                    e_max = _check_letters(e.pieces, n)
     if acc is None:
         return identity(n)
     return Element(n, tuple(sorted(acc, key=_dom_words)))

@@ -11,7 +11,7 @@ from nvcalc import cli
 from nvcalc.cli import main
 from nvcalc.element_algebra import MAX_PIECES, element_to_json, random_element
 from nvcalc.ends_cocycle import MAX_MEMBERS, sym_diff_truncated
-from nvcalc.words_generators import eval_word
+from nvcalc.words_generators import MAX_LETTERS, eval_word
 
 
 def run(capsys, argv):
@@ -207,6 +207,25 @@ def test_word_past_the_piece_budget_exits_two(capsys):
     assert out == ""
     assert err == f"error: a composition would exceed {MAX_PIECES} pieces\n"
 
+
+
+@pytest.mark.parametrize(
+    "argv",
+    [
+        ["eval", "--n", "1", "--word", "X[1,0]^65000"],
+        ["eval", "--n", "1", "--word", "X[1,0]^99999999999"],
+        ["eval", "--n", "3000", "--word", "C[2,1]^12"],
+    ],
+    ids=["X-65000", "X-1e11", "C-n3000"],
+)
+def test_word_past_the_letter_budget_exits_two(capsys, argv):
+    """Powers with few pieces but long words: ``X[1,0]^65000`` was killed
+    for memory, and ``X[1,0]^99999999999`` took 7 GB before ``MAX_PIECES``
+    tripped."""
+    code, out, err = run(capsys, argv)
+    assert code == 2
+    assert out == ""
+    assert err == f"error: a power or product would hold over {MAX_LETTERS} letters\n"
 
 APPLY_X = ["apply", "--n", "1", "--word", "X[1,0]", "--point"]
 

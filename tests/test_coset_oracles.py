@@ -15,6 +15,7 @@ translates afresh and compares every coset pair by the word walk.
 
 import random
 from collections import Counter
+from itertools import accumulate
 from unittest import mock
 
 import pytest
@@ -36,7 +37,7 @@ from nvcalc.element_algebra import (
 from nvcalc.ends_cocycle import (
     CosetRep,
     _cylinder_levels,
-    _level_sizes,
+    cocycle_counts,
     cocycle_identity_check,
     coset_eq,
     coset_of,
@@ -255,6 +256,13 @@ def test_failing_rects_match_bfs_on_letters(n):
         assert cylinder_levels(g, depth) == by_level(failing_rects_bfs(g, depth), depth)
 
 
+def counts_from_levels(g, depth):
+    """The cumulative counts of X Δ gX summed from the listed cylinder
+    levels of the g^{-1} and g searches, depth 0 (the cube) left out."""
+    out, into = (_cylinder_levels(*failing_cylinders(h, depth), depth) for h in (inverse(g), g))
+    return tuple(accumulate((len(a) + len(b) for a, b in zip(out[1:], into[1:])), initial=0))
+
+
 def check_cylinders(g, depth):
     """Expanded cylinders equal the memoised search level by level, the
     closed-form sizes are the level lengths, and the cut tuples stay in the
@@ -262,7 +270,7 @@ def check_cylinders(g, depth):
     cut, cylinders = failing_cylinders(g, depth)
     levels = _cylinder_levels(cut, cylinders, depth)
     assert levels == failing_rects_memoised(g, depth)
-    assert _level_sizes(cut, cylinders, depth) == [len(level) for level in levels]
+    assert cocycle_counts(g, depth).counts == counts_from_levels(g, depth)
     assert all(len(w) <= c for t in cylinders for w, c in zip(t, cut))
     assert failing_cylinders(g, 10**9) == failing_cylinders(g, sum(cut))
 
@@ -325,7 +333,7 @@ def test_cylinders_match_memoised_search_on_a_large_pinwheel():
     assert len(g.pieces) == 1028 and "_tree" not in vars(g)  # never built
     levels = _cylinder_levels(cut, cylinders, 5)
     assert levels == failing_rects_memoised(g, 5)
-    assert _level_sizes(cut, cylinders, 5) == [len(level) for level in levels]
+    assert cocycle_counts(g, 5).counts == counts_from_levels(g, 5)
 
 
 def test_cylinder_search_rejects_negative_depth():

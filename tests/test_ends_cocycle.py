@@ -260,7 +260,6 @@ def test_count_paths_stop_at_their_limit():
     message = f"^the total at depth {depth} is too large for a float norm$"
     with pytest.raises(ValueError, match=message):
         cocycle_counts(g, depth)
-    assert ends_cocycle._level_sizes(*failing_cylinders(g, depth), depth, 10) is None
 
 
 def test_count_paths_stop_below_the_member_budget(monkeypatch):
@@ -281,6 +280,21 @@ def test_count_paths_stop_below_the_member_budget(monkeypatch):
         with pytest.raises(ValueError, match="depth must be < 40, got 40"):
             count()
 
+
+
+def test_count_paths_check_the_depth_before_any_search(monkeypatch):
+    """A depth of ``MAX_MEMBERS`` or more, or a negative one, is rejected
+    before either cylinder search runs."""
+    search = mock.Mock(wraps=failing_cylinders)
+    monkeypatch.setattr(ends_cocycle, "failing_cylinders", search)
+    budget = ends_cocycle.MAX_MEMBERS
+    for count in (sym_diff_truncated, cocycle_counts):
+        with pytest.raises(ValueError, match=f"^depth must be < {budget}, got {budget}$"):
+            count(X1, budget)
+        with pytest.raises(ValueError, match="^depth must be >= 0$"):
+            count(X1, -1)
+    assert not search.called
+    assert cocycle_counts(X1, 3).total == 2 and search.call_count == 2
 
 #: The letters of S and their inverses, per dimension.
 LETTERS = {n: [e for _, g in gen_set_S(n) for e in (g, inverse(g))] for n in (1, 2)}

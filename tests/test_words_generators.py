@@ -20,6 +20,7 @@ from nvcalc.element_algebra import (
     is_identity_on,
     validate,
 )
+from nvcalc import words_generators
 from nvcalc.words_generators import (
     GenSymbol,
     Word,
@@ -256,6 +257,43 @@ def test_eval_word_with_inverse_letters_matches_the_uncached_fold(case):
     table, the fold through ``inverse(make_*)`` one unit at a time."""
     n, word = case
     assert eval_word(word, n) == eval_word_fold(word, n)
+
+
+@pytest.mark.parametrize("n", [1, 2])
+def test_letter_bound_trips_where_pieces_times_n_times_longest_first_passes_it(
+    monkeypatch, n
+):
+    """Each step of ``X[1,0]^k`` holds some X[1,0]^j, j <= k: j + 2 pieces
+    with words of up to j + 1 letters.  So with the bound set to the letters
+    of X[1,0]^30, the powers up to 30 evaluate and every later one is
+    rejected, as is a letter folded onto X[1,0]^30 that lengthens its words."""
+    for k in (1, 30, 31):
+        g = eval_word(f"X[1,0]^{k}", n)
+        longest = max(len(w) for p in g.pieces for w in p.dom_words + p.ran_words)
+        assert (len(g.pieces), longest) == (k + 2, k + 1)
+    bound = 32 * n * 31
+    monkeypatch.setattr(words_generators, "MAX_LETTERS", bound)
+    message = f"^a power or product would hold over {bound} letters$"
+    for k in range(1, 41):
+        if (k + 2) * n * (k + 1) <= bound:
+            eval_word(f"X[1,0]^{k}", n)
+        else:
+            with pytest.raises(ValueError, match=message):
+                eval_word(f"X[1,0]^{k}", n)
+    eval_word("X[1,0]^30 P[0]", n)  # 32 pieces, words of up to 31 letters
+    with pytest.raises(ValueError, match=message):  # a fold adds its bound:
+        eval_word("P[0] X[1,0]^30", n)  # 33 pieces, words of up to 32 letters
+
+
+@pytest.mark.parametrize(
+    "word, n, power",
+    [("P[0]^99999999999", 1, 1), ("P[0]^-99999999998", 2, 0), ("Pb[3]^99999999999", 1, 1)],
+)
+def test_torsion_powers_pass_the_letter_bound(word, n, power):
+    """A torsion square's word bound doubles past ``MAX_LETTERS``, and the
+    exact recount, which finds its words still short, lets it go on."""
+    base = word.split("^")[0]
+    assert equals(eval_word(word, n), eval_word(" ".join([base] * power), n))
 
 
 @pytest.mark.parametrize("n", [1, 2, 3])
