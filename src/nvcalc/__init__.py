@@ -25,7 +25,6 @@ from nvcalc.dyadic_core import (  # noqa: F401
     corner_projections,
     enumerate_rects,
     halve,
-    is_partition,
     rect_Il,
     rect_Ir,
 )
@@ -73,6 +72,5 @@ from nvcalc.ends_cocycle import (  # noqa: F401
     f_P_probe,
     in_X,
     properness_bound_check,
-    rect_to_coset,
     sym_diff_truncated,
 )

@@ -126,7 +126,7 @@ def _summary(g: Element) -> tuple[dict[str, Any], bool]:
         "element": element_to_json_dict(reduced),
         "piece_count": len(reduced.pieces),
         "piece_count_raw": len(g.pieces),
-        "depth": element_depth(g),
+        "depth": element_depth(reduced),
     }, True
 
 
@@ -268,10 +268,6 @@ COMMANDS: dict[str, Command] = {
     "support": Command(
         "support rectangles of an element", _support,
         lambda r: ["  support: " + _rects(r["support"], "(empty)")], element=True,
-    ),
-    "simplify": Command(
-        "reduced piece table of an element",
-        lambda a: _summary(_load_element(a)), _element_text, element=True,
     ),
     "relations": Command(
         "defining-relation suite", lambda a: _report(relation_suite(a.n, a.imax)),

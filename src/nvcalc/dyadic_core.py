@@ -20,7 +20,7 @@ import itertools
 from dataclasses import dataclass
 from fractions import Fraction
 from math import comb
-from typing import Iterable, Iterator, Sequence
+from typing import Iterator, Sequence
 
 __all__ = [
     "Point",
@@ -30,7 +30,6 @@ __all__ = [
     "count_rects",
     "enumerate_rects",
     "halve",
-    "is_partition",
     "rect_Il",
     "rect_Ir",
     "rect_intersect",
@@ -141,27 +140,6 @@ def contains_point(r: Rect, p: Point) -> bool:
         lo, hi = word_interval(w)
         if not (lo <= x < hi):
             return False
-    return True
-
-
-def is_partition(rects: Iterable[Rect]) -> bool:
-    """True iff the rectangles tile the unit cube.
-
-    Checked exactly: volumes sum to 1 and all pairs have disjoint interiors.
-    The empty collection is not a partition.
-    """
-    rs = list(rects)
-    if not rs:
-        return False
-    dim = rs[0].dim
-    if any(r.dim != dim for r in rs):
-        raise ValueError("mixed dimensions")
-    if sum(r.volume for r in rs) != 1:
-        return False
-    for i, a in enumerate(rs):
-        for b in rs[i + 1 :]:
-            if rect_intersect(a, b) is not None:
-                return False
     return True
 
 

@@ -464,9 +464,9 @@ def expansion(g: Element, piece_index: int, d: int) -> Element:
 
 
 def element_depth(g: Element) -> int:
-    """Max total depth over the reduced piece table (domains and ranges)."""
-    pieces = simplify(g).pieces
-    return max(len("".join(w)) for p in pieces for w in (p.dom_words, p.ran_words))
+    """Max total depth over g's piece table as given (domains and ranges);
+    pass ``simplify(g)`` for the depth of the reduced table."""
+    return max(len("".join(w)) for p in g.pieces for w in (p.dom_words, p.ran_words))
 
 
 def _random_leaves(rng: random.Random, leaves: int, cell: Rect) -> list[Rect]:

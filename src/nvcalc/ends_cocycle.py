@@ -71,6 +71,7 @@ from nvcalc.element_algebra import (
     _agrees,
     _compose_pieces,
     compose,
+    element_depth,
     identity,
     inverse,
     merge_pieces,
@@ -96,7 +97,6 @@ __all__ = [
     "failing_cylinders",
     "in_X",
     "properness_bound_check",
-    "rect_to_coset",
     "sym_diff_truncated",
 ]
 
@@ -161,26 +161,6 @@ def complement_partition(r: Rect) -> tuple[Rect, ...]:
             words = r.words[:d] + (flipped,) + ("",) * (r.dim - d - 1)
             out.append(Rect(words))
     return tuple(out)
-
-
-def rect_to_coset(r: Rect) -> Element:
-    """A witness element k with k(I_l) = ``r`` (so kH is the X-coset of r).
-
-    Builds the canonical representative: I_l is sent onto ``r`` by one
-    substitution, and the right half is cut into ``r.depth`` staircase cells
-    ``10, 110, ..., 1^(m-1)0, 1^m`` (coordinate 1) matched in order with the
-    complement partition of ``r``.
-    """
-    if r.depth == 0:
-        raise ValueError("the whole cube is not the image of I_l under any element")
-    n = r.dim
-    comps = complement_partition(r)
-    m = len(comps)
-    pieces = [AffinePiece(rect_Il(n), r)]
-    for j, target in enumerate(comps, start=1):
-        word1 = "1" * j + ("0" if j < m else "")
-        pieces.append(AffinePiece(Rect((word1,) + ("",) * (n - 1)), target))
-    return Element.from_pieces(pieces)
 
 
 def failing_cylinders(
@@ -491,7 +471,7 @@ class FPProbeResult:
 
     @cached_property
     def values(self) -> dict[Rect, tuple[Point, ...]]:
-        # every alpha point lies in I_l, where rect_to_coset(r) is I_l -> r
+        # every alpha point lies in I_l, sent onto r by any k in r's X-coset
         il, alphas = rect_Il(self.n).words, alpha_points(self.n)
         return {
             r: tuple(map(AffinePiece._trusted(il, r.words).apply_point, alphas))
@@ -654,9 +634,7 @@ def properness_bound_check(
     limit = 10 ** (4300 // n) - 5  # the total: (total + 4)^n fits 4,300 digits
     for label, g in elements:  # g is reduced: its depth and size are final
         pieces = len(g.pieces)
-        words = (w for p in g.pieces for w in (p.dom_words, p.ran_words))
-        table_depth = max(map(len, map("".join, words)))
-        d = depth if depth is not None else table_depth + 1  # also g^{-1}'s
+        d = depth if depth is not None else element_depth(g) + 1  # also g^{-1}'s
         if g not in known:  # g^{-1} has g's counts at d: its two sides swap
             too_large = f"the total at depth {d} is too large to report"
             g_inv = inverse(g)

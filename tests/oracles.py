@@ -20,6 +20,12 @@ right-half copy lies in H, and that conjugating one by ``X[1,1]`` keeps it
 in H (through ``in_H(coset_of(...))``).  ``in_H`` and ``slope_exponents``
 are the membership test for H and a piece's slopes, which only tests use.
 
+``is_partition`` and ``rect_to_coset`` are the two checks the program itself
+never needs: whether rectangles tile the cube, by volume and an all-pairs
+disjointness test (``validate``'s oracle), and a witness k for the X-coset of
+a rectangle r, the canonical element sending I_l onto r by one substitution
+and a staircase of the right half onto the complement of r.
+
 ``eval_word_fold`` and ``expansion_rebuild`` build what the program builds
 once or in place: a word's value with every generator and inverse made
 afresh and one composition per unit of exponent, and an expansion as a full
@@ -30,7 +36,7 @@ from __future__ import annotations
 
 import enum
 import itertools
-from typing import Sequence
+from typing import Iterable, Sequence
 
 from nvcalc.dyadic_core import (
     Point,
@@ -40,6 +46,7 @@ from nvcalc.dyadic_core import (
     halve,
     rect_Il,
     rect_Ir,
+    rect_intersect,
 )
 from nvcalc.element_algebra import (
     AffinePiece,
@@ -51,7 +58,12 @@ from nvcalc.element_algebra import (
     inverse,
     random_element,
 )
-from nvcalc.ends_cocycle import CosetRep, coset_of, coset_translate
+from nvcalc.ends_cocycle import (
+    CosetRep,
+    complement_partition,
+    coset_of,
+    coset_translate,
+)
 from nvcalc.reporting import CheckReport, CheckResult
 from nvcalc.words_generators import make_C, make_pi, make_pibar, make_X, parse_word
 
@@ -98,6 +110,27 @@ def rect_relation(a: Rect, b: Rect) -> RectRelation:
     if all(rel in widening for rel in per_coord):
         return RectRelation.B_CONTAINS_A
     return RectRelation.PARTIAL_OVERLAP
+
+
+def is_partition(rects: Iterable[Rect]) -> bool:
+    """True iff the rectangles tile the unit cube.
+
+    Checked exactly: volumes sum to 1 and all pairs have disjoint interiors.
+    The empty collection is not a partition.
+    """
+    rs = list(rects)
+    if not rs:
+        return False
+    dim = rs[0].dim
+    if any(r.dim != dim for r in rs):
+        raise ValueError("mixed dimensions")
+    if sum(r.volume for r in rs) != 1:
+        return False
+    for i, a in enumerate(rs):
+        for b in rs[i + 1 :]:
+            if rect_intersect(a, b) is not None:
+                return False
+    return True
 
 
 def corners(cells: Sequence[Rect]) -> frozenset[Point]:
@@ -148,6 +181,26 @@ def slope_exponents(piece: AffinePiece) -> tuple[int, ...]:
 def in_H(c: CosetRep) -> bool:
     """Whether c = kH is the trivial coset, i.e. k fixes I_l pointwise."""
     return all(p.is_trivial for p in c.restriction)
+
+
+def rect_to_coset(r: Rect) -> Element:
+    """A witness element k with k(I_l) = ``r`` (so kH is the X-coset of r).
+
+    Builds the canonical representative: I_l is sent onto ``r`` by one
+    substitution, and the right half is cut into ``r.depth`` staircase cells
+    ``10, 110, ..., 1^(m-1)0, 1^m`` (coordinate 1) matched in order with the
+    complement partition of ``r``.
+    """
+    if r.depth == 0:
+        raise ValueError("the whole cube is not the image of I_l under any element")
+    n = r.dim
+    comps = complement_partition(r)
+    m = len(comps)
+    pieces = [AffinePiece(rect_Il(n), r)]
+    for j, target in enumerate(comps, start=1):
+        word1 = "1" * j + ("0" if j < m else "")
+        pieces.append(AffinePiece(Rect((word1,) + ("",) * (n - 1)), target))
+    return Element.from_pieces(pieces)
 
 
 def affine_extension(

@@ -256,7 +256,7 @@ def test_criterion_5_cocycle_stabilization_and_brute_force():
     ball = _ball_elements(1, 4)
     assert len(ball) == 1078
     for g in generators + [e for _, e in ball]:
-        t = sym_diff_truncated(g, element_depth(g) + 1)
+        t = sym_diff_truncated(g, element_depth(simplify(g)) + 1)
         assert t.stable_depth is not None
 
     # frozen cardinalities
@@ -309,7 +309,7 @@ def test_criterion_6_properness_bound_over_word_ball():
     assert set(report.section_counts()) == {"piece_bound"}
     # re-check the bound directly for one nontrivial element
     g = eval_word("X[1,1] X[1,0]^-1 Pb[3]", 1)
-    t = sym_diff_truncated(g, element_depth(g) + 1)
+    t = sym_diff_truncated(g, element_depth(simplify(g)) + 1)
     assert t.stable_depth is not None
     assert len(simplify(g).pieces) <= t.total + 4
     assert time.monotonic() - t0 < 300

@@ -7,7 +7,7 @@ from unittest import mock
 
 import pytest
 
-from nvcalc import cli
+from nvcalc import cli, element_algebra
 from nvcalc.cli import main
 from nvcalc.element_algebra import MAX_PIECES, element_to_json, random_element
 from nvcalc.ends_cocycle import MAX_MEMBERS, sym_diff_truncated
@@ -91,6 +91,13 @@ def test_unknown_subcommand_exit_two(capsys):
 
 def test_missing_subcommand_exit_two(capsys):
     assert run(capsys, [])[0] == 2
+
+
+def test_removed_simplify_subcommand_exit_two(capsys):
+    """``eval`` prints the reduced table; there is no second name for it."""
+    code, out, err = run(capsys, ["simplify", "--n", "1", "--word", "X[1,0]"])
+    assert code == 2 and out == ""
+    assert "invalid choice" in err
 
 
 def test_version_exit_zero(capsys):
@@ -490,7 +497,7 @@ def test_element_file_roundtrip(tmp_path, capsys):
     path = tmp_path / "g.json"
     path.write_text(element_to_json(g), encoding="utf-8")
     code, payload, _ = run_json(
-        capsys, ["simplify", "--element-file", str(path)]
+        capsys, ["eval", "--element-file", str(path)]
     )
     assert code == 0
     assert payload["config"]["n"] == 2
@@ -692,6 +699,10 @@ PINNED_OUTPUTS = {
         ],
         "f54ca2e1f6b42bcc8d16798b5d24e0e96d6033e782d3061a276e6d44032fbcd7",
     ),
+    "eval-n2": (
+        ["eval", "--n", "2", "--word", "C[2,0] Pb[0]"],
+        "c77886ef7029021fdfd290168b6cafb7ab9083fe5b66af1db642380054c41c14",
+    ),
     # the README's examples that need no element file
     "readme-eval": (
         ["eval", "--n", "1", "--word", "X[1,0] P[2]^-1"],
@@ -757,8 +768,8 @@ def test_json_output_pinned_across_commits(capsys, argv, digest):
 
 
 #: SHA-256 of the ``--format text`` stdout of every subcommand, on the
-#: README's commands (``simplify`` on a word: its README example reads a
-#: file).  Update a hash only with a change that means to change that text.
+#: README's commands.  Update a hash only with a change that means to change
+#: that text.
 PINNED_TEXT = {
     "eval": (
         ["eval", "--n", "1", "--word", "X[1,0] P[2]^-1"],
@@ -775,10 +786,6 @@ PINNED_TEXT = {
     "support": (
         ["support", "--n", "1", "--word", "Pb[3]"],
         "8085dcc5528f745c7604e0ba1a0531659c03df183a593ee064e829f1e2c2a785",
-    ),
-    "simplify": (
-        ["simplify", "--n", "2", "--word", "C[2,0] Pb[0]"],
-        "674743361e5d7788c0b31981baeb55b872ec48db642113a573649d7cb7e09ace",
     ),
     "relations": (
         ["relations", "--n", "3", "--imax", "3"],
@@ -845,6 +852,25 @@ def test_runners_look_up_library_functions_when_they_run(capsys, name, argv):
     spy.assert_called_once()
 
 
+@pytest.mark.parametrize(
+    "argv",
+    [
+        ["eval", "--n", "2", "--word", "C[2,0] Pb[0]"],
+        ["random", "--n", "2", "--seed", "3"],
+    ],
+    ids=lambda argv: argv[0],
+)
+def test_summary_reduces_the_table_once(capsys, argv):
+    """``eval`` and ``random`` merge the table once and read its depth from
+    the merged table."""
+    with mock.patch(
+        "nvcalc.element_algebra.merge_pieces", wraps=element_algebra.merge_pieces
+    ) as merge:
+        code, out, _ = run(capsys, argv)
+    assert code == 0 and out
+    assert merge.call_count == 1
+
+
 def test_envelope_shape(capsys):
     _, payload, _ = run_json(capsys, ["eval", "--n", "1", "--word", "P[0]"])
     assert set(payload) == {"tool", "version", "command", "config", "ok", "report"}
@@ -902,7 +928,6 @@ def test_text_format(capsys):
         ["equal", "--n", "1", "--w1", "Pb[0]", "--w2", ""],
         ["apply", "--n", "1", "--word", "X[1,0]", "--point", "1/4"],
         ["support", "--n", "1", "--word", "Pb[1]"],
-        ["simplify", "--n", "2", "--word", "C[2,0] Pb[0]"],
         ["relations", "--n", "1"],
         ["corollaries", "--n", "1"],
         ["premises", "--n", "2"],

@@ -43,11 +43,10 @@ from nvcalc.ends_cocycle import (
     coset_of,
     coset_translate,
     failing_cylinders,
-    rect_to_coset,
     sym_diff_truncated,
 )
 from nvcalc.words_generators import gen_set_S
-from oracles import affine_extension, cocycle_identity_reference
+from oracles import affine_extension, cocycle_identity_reference, rect_to_coset
 from test_kernel_oracles import pinwheel_element
 
 # ---------------------------------------------------------------------------

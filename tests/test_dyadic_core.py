@@ -16,14 +16,13 @@ from nvcalc.dyadic_core import (
     count_rects,
     enumerate_rects,
     halve,
-    is_partition,
     rect_Il,
     rect_Ir,
     rect_intersect,
     word_interval,
 )
 from nvcalc.element_algebra import _random_leaves
-from oracles import RectRelation, corners, rect_relation
+from oracles import RectRelation, corners, is_partition, rect_relation
 
 F = Fraction
 

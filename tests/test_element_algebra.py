@@ -11,7 +11,7 @@ from hypothesis import given, settings
 from hypothesis import strategies as st
 
 from nvcalc import element_algebra
-from nvcalc.dyadic_core import Rect, is_partition, rect_Il, rect_Ir
+from nvcalc.dyadic_core import Rect, rect_Il, rect_Ir
 from nvcalc.element_algebra import (
     AffinePiece,
     Element,
@@ -38,7 +38,13 @@ from nvcalc.element_algebra import (
     validate,
 )
 from nvcalc.words_generators import eval_word
-from oracles import affine_extension, image_of, restrict_to, slope_exponents
+from oracles import (
+    affine_extension,
+    image_of,
+    is_partition,
+    restrict_to,
+    slope_exponents,
+)
 
 F = Fraction
 
@@ -343,7 +349,8 @@ def test_expansion_properties_and_errors():
 def test_element_depth():
     assert element_depth(identity(3)) == 0
     assert element_depth(X) == 2
-    assert element_depth(expansion(X, 0, 1)) == 2  # reduced first
+    assert element_depth(expansion(X, 0, 1)) == 3  # the table as given
+    assert element_depth(simplify(expansion(X, 0, 1))) == 2
     assert element_depth(compose(X, X)) == 3
     g = simplify(random_element(2, 12, 3))
     assert element_depth(g) == max(max(p.dom.depth, p.ran.depth) for p in g.pieces)

@@ -14,7 +14,6 @@ from nvcalc.dyadic_core import (
     Rect,
     count_rects,
     enumerate_rects,
-    is_partition,
     rect_Il,
     rect_Ir,
 )
@@ -45,11 +44,16 @@ from nvcalc.ends_cocycle import (
     failing_cylinders,
     in_X,
     properness_bound_check,
-    rect_to_coset,
     sym_diff_truncated,
 )
 from nvcalc.words_generators import eval_word, gen_set_S, make_X, make_pi, make_pibar
-from oracles import embed_in_half, in_H, normalizer_commutation_check
+from oracles import (
+    embed_in_half,
+    in_H,
+    is_partition,
+    normalizer_commutation_check,
+    rect_to_coset,
+)
 
 F = Fraction
 

@@ -1,10 +1,11 @@
 """The word kernel's geometric answers against the rectangle-form oracles.
 
-``rect_intersect``, ``is_partition`` and ``in_X`` answer "do rectangles
-meet", "do they tile the cube" and "is the coset in X" on word tuples.  The
-oracles in ``tests/oracles.py`` answer the same questions through the
-five-way ``rect_relation`` and ``affine_extension``; both must agree on
-hypothesis draws in dimensions 1..3.  ``f_P_probe`` finds the rectangles
+``rect_intersect`` and ``in_X`` answer "do rectangles meet" and "is the
+coset in X" on word tuples, and the oracle ``is_partition`` answers "do they
+tile the cube" with ``rect_intersect``.  The oracles in ``tests/oracles.py``
+answer the same questions through the five-way ``rect_relation`` and
+``affine_extension``; both must agree on hypothesis draws in dimensions
+1..3.  ``f_P_probe`` finds the rectangles
 that hold a corner of a pattern one coordinate at a time; the oracle
 ``corner_members`` tests every corner point.
 """
@@ -14,7 +15,7 @@ import random
 from hypothesis import given, settings
 from hypothesis import strategies as st
 
-from nvcalc.dyadic_core import Rect, is_partition, rect_Il, rect_intersect
+from nvcalc.dyadic_core import Rect, rect_Il, rect_intersect
 from nvcalc.element_algebra import _random_leaves, inverse, random_element
 from nvcalc.ends_cocycle import (
     CosetRep,
@@ -22,14 +23,15 @@ from nvcalc.ends_cocycle import (
     coset_translate,
     f_P_probe,
     in_X,
-    rect_to_coset,
 )
 from nvcalc.words_generators import gen_set_S
 from oracles import (
     RectRelation,
     affine_extension,
     corner_members,
+    is_partition,
     rect_relation,
+    rect_to_coset,
 )
 
 words = st.text(alphabet="01", max_size=4)
