@@ -33,6 +33,7 @@ from nvcalc.element_algebra import (
 )
 from nvcalc.ends_cocycle import (
     MAX_MEMBERS,
+    TruncatedCocycle,
     cocycle_counts,
     f_P_probe,
     properness_bound_check,
@@ -163,8 +164,8 @@ def _support(args: argparse.Namespace) -> tuple[dict[str, Any], bool]:
 def _probe(args: argparse.Namespace) -> tuple[dict[str, Any], bool]:
     g = _load_element(args)
     depths = _parse_depths(args.depths)
-    full = cocycle_counts(g, max(depths))
-    surveys = [full.at_depth(d).to_dict() for d in depths]
+    counts = cocycle_counts(g, max(depths)).counts  # the search is exact: slice it
+    surveys = [TruncatedCocycle(counts[: d + 1]).to_dict() for d in depths]
     for entry in surveys:
         del entry["out_side"], entry["in_side"]
     return {"depths": depths, "surveys": surveys}, True

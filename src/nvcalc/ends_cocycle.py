@@ -47,13 +47,12 @@ from __future__ import annotations
 
 import math
 import sys
-from bisect import bisect_right
 from collections import Counter
 from dataclasses import dataclass
 from fractions import Fraction
 from functools import cache, cached_property
 from itertools import accumulate, chain
-from operator import attrgetter, eq, le, lt
+from operator import eq, le, lt
 
 from nvcalc.dyadic_core import (
     Point,
@@ -255,18 +254,18 @@ class TruncatedCocycle:
     both sides together, so ``depth`` is ``len(counts) - 1`` and ``total`` is
     ``counts[-1]``.  ``out_side`` lists X - gX (cosets named by their
     rectangles); ``in_side`` lists the rectangles R whose g-translates make
-    up gX - X; both are empty when only the counts were computed.  ``norm``
-    is the Euclidean norm of the truncated difference indicator, sqrt(total).
-    The verdict is ``STABLE(k)`` with k the least depth whose count equals
-    the total, when k < depth, and ``GROWING`` when new members still appear
-    at the last level searched.  A GROWING verdict is a statement about this
-    truncation only, never a claim about the untruncated symmetric
-    difference; ``open_finding`` spells that out, flagging the tension with
-    the expectation that every translate of the coset family differs from it
-    in only finitely many cosets.
+    up gX - X; both are empty when only the counts were computed, as for
+    ``probe``, which slices the deepest counts, and ``properness``, where g
+    and g^{-1} share one.  ``norm`` is the Euclidean norm of the truncated
+    difference indicator, sqrt(total).  The verdict is ``STABLE(k)`` with k
+    the least depth whose count equals the total, when k < depth, and
+    ``GROWING`` when new members still appear at the last level searched.  A
+    GROWING verdict is a statement about this truncation only, never a claim
+    about the untruncated symmetric difference; ``open_finding`` spells that
+    out, flagging the tension with the expectation that every translate of
+    the coset family differs from it in only finitely many cosets.
     """
 
-    element: Element
     counts: tuple[int, ...]
     out_side: tuple[Rect, ...] = ()
     in_side: tuple[Rect, ...] = ()
@@ -310,19 +309,6 @@ class TruncatedCocycle:
             "open_finding": self.open_finding,
         }
 
-    def at_depth(self, d: int) -> TruncatedCocycle:
-        """The truncation at depth ``d`` <= ``depth``, read off these members.
-
-        Equals ``sym_diff_truncated(element, d)``: the search is exact, so
-        the failing rectangles of depth <= d are the same at every depth.
-        """
-        if not 0 <= d <= self.depth:
-            raise ValueError(f"depth {d} outside 0..{self.depth}")
-        out_end = bisect_right(self.out_side, d, key=attrgetter("depth"))
-        in_end = bisect_right(self.in_side, d, key=attrgetter("depth"))
-        sides = self.out_side[:out_end], self.in_side[:in_end]
-        return TruncatedCocycle(self.element, self.counts[: d + 1], *sides)
-
 
 #: The most members one truncation may list: past it ``sym_diff_truncated``
 #: raises ValueError before expanding any (``X[1,0]``, n = 2, depth 30: 6.4e9).
@@ -343,7 +329,7 @@ def sym_diff_truncated(g: Element, depth: int) -> TruncatedCocycle:
     too_many = f"the truncation at depth {depth} has more than {MAX_MEMBERS} members"
     counts, sides = _closed_counts(g, inverse(g), depth, MAX_MEMBERS, too_many)
     levels = (chain.from_iterable(_cylinder_levels(*side, depth)[1:]) for side in sides)
-    return TruncatedCocycle(g, counts, *map(tuple, levels))
+    return TruncatedCocycle(counts, *map(tuple, levels))
 
 
 def cocycle_counts(g: Element, depth: int) -> TruncatedCocycle:
@@ -352,7 +338,7 @@ def cocycle_counts(g: Element, depth: int) -> TruncatedCocycle:
     Raises ValueError when the total is too large for a float norm."""
     too_large = f"the total at depth {depth} is too large for a float norm"
     counts, _ = _closed_counts(g, inverse(g), depth, sys.float_info.max, too_large)
-    return TruncatedCocycle(g, counts)
+    return TruncatedCocycle(counts)
 
 
 def _closed_counts(
@@ -532,6 +518,8 @@ def f_P_probe(
     """
     if corner_mode not in ("closed", "half_open"):
         raise ValueError(f"unknown corner mode {corner_mode!r}")
+    if depth < 0:
+        raise ValueError("depth must be >= 0")
     n = g.dim
     # count_rects(n, D) >= 2^D grows with D, so counting up to the budget's
     # bit length decides the comparison without a long sum for a huge depth.
@@ -606,11 +594,13 @@ def properness_bound_check(
     coset action.  Elements whose truncation is still growing are reported
     as findings, never asserted either way.  ``params["bound_slack"]`` is
     the sorted histogram ``[[bound - pieces, count], ...]`` over the stable
-    elements.  Counts are memoised per element, and g^{-1} is handed g's
+    elements.  Records are memoised per element, and g^{-1} is handed g's
     (``_closed_counts``).  Raises ValueError once a total passes
     10^(4300 // n) - 5: past it, (total + 4)^n would not print within
     Python's default 4,300-digit int-to-str limit.
     """
+    if n < 1:
+        raise ValueError("dimension must be >= 1")
     if ball_radius < 0:
         raise ValueError("ball radius must be >= 0")
     if depth is not None:
@@ -630,16 +620,16 @@ def properness_bound_check(
     )
     elements = _ball_elements(n, ball_radius)
     slack: Counter[int] = Counter()
-    known: dict[Element, tuple[int, ...]] = {}  # the ball holds g^{-1}: count it once
+    known: dict[Element, TruncatedCocycle] = {}  # the ball holds g^{-1}: count it once
     limit = 10 ** (4300 // n) - 5  # the total: (total + 4)^n fits 4,300 digits
     for label, g in elements:  # g is reduced: its depth and size are final
         pieces = len(g.pieces)
         d = depth if depth is not None else element_depth(g) + 1  # also g^{-1}'s
-        if g not in known:  # g^{-1} has g's counts at d: its two sides swap
+        if (t := known.get(g)) is None:  # g^{-1}'s counts at d are g's: sides swap
             too_large = f"the total at depth {d} is too large to report"
             g_inv = inverse(g)
-            known[g] = known[g_inv] = _closed_counts(g, g_inv, d, limit, too_large)[0]
-        t = TruncatedCocycle(g, known[g])
+            counts = _closed_counts(g, g_inv, d, limit, too_large)[0]
+            t = known[g] = known[g_inv] = TruncatedCocycle(counts)
         bound = (t.total + 4) ** n
         word = label or "<empty>"
         if t.stable_depth is not None:

@@ -170,6 +170,15 @@ def test_library_value_error_exit_two(capsys, argv):
             ["properness", "--n", "2", "--ball", "1", "--depth", "15000"],
             "error: the total at depth 15000 is too large to report\n",
         ),
+        (["properness", "--n", "0", "--ball", "1"], "error: dimension must be >= 1\n"),
+        (
+            ["properness", "--n", "-1", "--ball", "1000"],
+            "error: dimension must be >= 1\n",
+        ),
+        (
+            ["fprobe", "--n", "2", "--word", "X[1,0]", "--depth", "-1"],
+            "error: depth must be >= 0\n",
+        ),
     ],
     ids=[
         "properness-ball",
@@ -188,12 +197,16 @@ def test_library_value_error_exit_two(capsys, argv):
         "cocycle-count-depth",
         "probe-count-budget",
         "properness-total",
+        "properness-n0",
+        "properness-n-negative",
+        "fprobe-negative-depth",
     ],
 )
 def test_boundary_inputs_exit_two(capsys, argv, message):
     """Inputs that once gave a silent wrong answer (the radius-0 ball, a
-    suite without its X_conjugation section) or an internal error, and
-    inputs past a size limit (a total too large for a float norm, a
+    suite without its X_conjugation section), an internal error or another
+    check's message (properness below dimension 1, a negative fprobe depth),
+    and inputs past a size limit (a total too large for a float norm, a
     6.4e9-member list, a properness label past Python's 4,300-digit integer
     printing limit, a generator index of 10^8 whose table costs i^2 to
     build, a relation suite reaching index 100001, rejected before its first
@@ -376,16 +389,16 @@ def test_probe_depth_ranges(capsys):
 @pytest.mark.parametrize("n, word", [(2, "Pb[0]"), (2, "X[1,0]"), (1, "X[1,0] P[0]")])
 def test_deep_probe_agrees_with_member_lists(capsys, n, word):
     """A probe to depth 40 (2^40-scale totals, counted in closed form) reads
-    at depths 0..8 what the expanded truncation's ``at_depth`` reads."""
+    at depths 0..8 what a fresh expanded truncation at each depth reads."""
     code, payload, _ = run_json(
         capsys, ["probe", "--n", str(n), "--word", word, "--depths", "0..40"]
     )
     assert code == 0
     surveys = payload["report"]["surveys"]
     assert [s["depth"] for s in surveys] == list(range(41))
-    full = sym_diff_truncated(eval_word(word, n), 8)
+    g = eval_word(word, n)
     for d in range(9):
-        expected = full.at_depth(d).to_dict()
+        expected = sym_diff_truncated(g, d).to_dict()
         del expected["out_side"], expected["in_side"]
         assert surveys[d] == expected
 

@@ -218,12 +218,16 @@ def test_sym_diff_counts_monotone_and_verdict_reaffirmed():
     + [(w, 2, 5) for w in ("Pb[0]", "C[2,0]", "X[2,0] X[1,1]")],
 )
 def test_at_depth_matches_a_fresh_search(word, n, D):
+    """The truncation at depth d <= D is a prefix of the one at D: its counts
+    and its members of depth <= d, since the search is exact."""
     g = eval_word(word, n)
     full = sym_diff_truncated(g, D)
     for d in range(D + 1):
-        assert full.at_depth(d) == sym_diff_truncated(g, d)
-    with pytest.raises(ValueError):
-        full.at_depth(D + 1)
+        sides = (
+            tuple(r for r in side if r.depth <= d) for side in (full.out_side, full.in_side)
+        )
+        prefix = TruncatedCocycle(full.counts[: d + 1], *sides)
+        assert prefix == sym_diff_truncated(g, d)
 
 
 def test_member_budget_trips_before_any_member_is_built(monkeypatch):
@@ -327,7 +331,7 @@ def test_truncation_record_derives_every_verdict_field_from_its_counts(data):
     assert (t.open_finding is None) == (stable is not None)
     assert t.open_finding is None or f"truncation depth {depth}." in t.open_finding
     assert t.norm == math.sqrt(t.total)
-    assert cocycle_counts(g, depth) == TruncatedCocycle(g, t.counts)
+    assert cocycle_counts(g, depth) == TruncatedCocycle(t.counts)
 
 
 @given(
@@ -337,9 +341,16 @@ def test_truncation_record_derives_every_verdict_field_from_its_counts(data):
 def test_an_inverse_has_the_same_counts(n, size, seed, depth):
     """X Δ g^{-1}X has the counts of X Δ gX at every depth: the two searches
     of g^{-1} are those of g, swapped.  ``properness_bound_check`` memoises
-    one count per pair {g, g^{-1}} on this ground."""
+    one record per pair {g, g^{-1}} on this ground.  Up to depth 6 the
+    members are listed too: g^{-1}'s record is g's with the two sides
+    swapped."""
     g = random_element(n, size, seed)
     assert cocycle_counts(inverse(g), depth).counts == cocycle_counts(g, depth).counts
+    if depth <= 6:
+        t = sym_diff_truncated(g, depth)
+        assert sym_diff_truncated(inverse(g), depth) == TruncatedCocycle(
+            t.counts, t.in_side, t.out_side
+        )
 
 
 def test_sym_diff_identity_is_empty():
