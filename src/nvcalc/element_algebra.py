@@ -17,7 +17,8 @@ valid ones are built unchecked from words with ``_trusted``.  One word walk,
 ``_compose_pieces``, serves ``compose``, ``restrict``, ``equals``, coset
 equality and the ``eval_word`` fold, which starts from its first factor's
 pieces.  A candidate whose domain equals the range it meets skips the walk.
-Candidates come from a halving tree over each element's domains, cached.
+Candidates come from a halving tree over each element's domains, cached; a
+cell that one coordinate's words already separate is one run, bisected.
 
 Convention: ``compose(g, h)`` is the map "apply h first, then g" (so a word
 written ``g h`` acts on the cube through its right factor first).  This is the
@@ -29,7 +30,8 @@ from __future__ import annotations
 
 import json
 import random
-from bisect import bisect_left, insort
+from bisect import bisect_left, bisect_right, insort
+from collections import namedtuple
 from dataclasses import dataclass
 from functools import cached_property
 from fractions import Fraction
@@ -129,6 +131,7 @@ class AffinePiece:
 _set_dom = AffinePiece.dom_words.__set__
 _set_ran = AffinePiece.ran_words.__set__
 _dom_words = attrgetter("dom_words")
+_Run = namedtuple("_Run", "by words pieces width")  # see Element._tree
 
 
 @dataclass(frozen=True)
@@ -161,21 +164,29 @@ class Element:
         return hash((self.dim, self.pieces))
 
     @cached_property
-    def _tree(self) -> list | tuple[AffinePiece, ...]:
+    def _tree(self) -> list | tuple:
         """The halving tree over the domain pattern.  A node ``[d, k, lo, hi]``
         halves its cell at letter k of coordinate d, which no piece in the cell
         spans; the coordinate the cell is sorted by comes first, as it halves
-        by bisection.  A leaf is the tuple of the cell's pieces.
-
-        A leaf holds several pieces only where no coordinate halves.  For
-        n <= 2 every cell of two or more disjoint pieces halves: a piece
-        spanning it in coordinate 1 and one spanning it in coordinate 2 would
-        meet.  For n = 3 the pinwheel ("", "0", "0"), ("0", "", "1"),
-        ("1", "1", ""), ("1", "0", "1"), ("0", "1", "0") does not."""
+        by bisection.  A leaf is the tuple of the cell's pieces, or a ``_Run``:
+        a cell of eight or more pieces (fewer halve as fast as they bisect)
+        whose words in the coordinate it is sorted by are prefix-free, kept
+        whole and bisected; tiling pieces with disjoint words in one
+        coordinate span the cell in every other.  Any other leaf holds
+        several pieces only where no coordinate halves.  For n <= 2 every
+        cell of two or more disjoint pieces halves: a piece spanning it in
+        coordinate 1 and one spanning it in coordinate 2 would meet.  For
+        n = 3 the pinwheel ("", "0", "0"), ("0", "", "1"), ("1", "1", ""),
+        ("1", "0", "1"), ("0", "1", "0") does not."""
         top: list = [None]
         work = [(top, 0, sorted(self.pieces, key=_dom_words), (0,) * self.dim, 0)]
         while work:  # each cell is sorted by its words in coordinate `by`
             node, slot, cell, depths, by = work.pop()
+            if len(cell) > 7:
+                ws = [p.dom_words[by] for p in cell]
+                if not any(map(str.startswith, ws[1:], ws)):
+                    node[slot] = _Run(by, ws, tuple(cell), max(map(len, ws)))
+                    continue
             for d in (by, *range(self.dim)) if len(cell) > 1 else ():
                 k = depths[d]
                 if d != by:
@@ -197,9 +208,10 @@ class Element:
 def _candidates(g: Element, words: tuple[str, ...]) -> Sequence[AffinePiece]:
     """The pieces of ``g`` that may meet the rectangle ``words``: the leaves of
     g's tree reached by following, at each node ``[d, k, lo, hi]``, the child
-    named by letter k of ``words[d]``, or both if the word has none.  For
-    n <= 2 these are exactly the pieces that meet it; the callers' word walks
-    drop the others."""
+    named by letter k of ``words[d]``, or both if the word has none; a run
+    bisects to the one piece whose word there ``words[d]`` extends, or else
+    to the block of pieces whose words extend it.  For n <= 2 these are
+    exactly the pieces that meet it; the callers' word walks drop the others."""
     todo, out = [g._tree], []
     while todo:
         node = todo.pop()
@@ -211,7 +223,15 @@ def _candidates(g: Element, words: tuple[str, ...]) -> Sequence[AffinePiece]:
                 node = lo
             else:
                 node = lo if w[k] == "0" else hi
-        out += node
+        if type(node) is tuple:
+            out += node
+            continue
+        d, ws, pieces, _ = node
+        i = bisect_right(ws, words[d])
+        if i and words[d].startswith(ws[i - 1]):
+            out.append(pieces[i - 1])
+        else:
+            out += pieces[i : bisect_left(ws, words[d] + "2", i)]
     return out
 
 
@@ -225,7 +245,8 @@ def validate(e: Element) -> bool:
     """True iff the domains and the ranges (the domains of ``inverse(e)``)
     each tile the cube: the volumes sum to 1 and each domain meets only
     itself among its ``_candidates``.  That is every pair that can meet: a
-    cell of the halving tree halves only at a letter all its pieces have."""
+    cell of the halving tree halves only at a letter all its pieces have, and
+    a run skips only pieces whose (prefix-free) words there miss the query's."""
     for g in (e, inverse(e)):
         if sum(p.dom.volume for p in g.pieces) != 1:
             return False
@@ -295,15 +316,19 @@ def inverse(g: Element) -> Element:
 
 
 def apply(g: Element, p: Point) -> Point:
-    """Exact image of a point of the half-open cube (no coordinate equals 1);
-    g's halving tree is descended by the point's bits, letter k of
-    coordinate d being bit k + 1 of ``p[d]``."""
+    """Exact image of a point of the half-open cube (no coordinate equals 1).
+    Letter k of coordinate d is bit k + 1 of ``p[d]``: g's halving tree is
+    descended by those bits, and a run bisected by the point's leading bits."""
     if len(p) != g.dim:
         raise ValueError(f"point dimension {len(p)} != element dimension {g.dim}")
     node = g._tree
     while type(node) is list:
         d, k, lo, hi = node
         node = hi if p[d] * 2 ** (k + 1) % 2 >= 1 else lo
+    if type(node) is _Run:
+        d, ws, pieces, width = node
+        i = bisect_right(ws, format(int(p[d] * 2**width), f"0{width}b"))
+        node = pieces[i - 1 : i]
     for piece in node:
         if contains_point(piece.dom, p):
             return piece.apply_point(p)

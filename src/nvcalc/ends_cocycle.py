@@ -457,12 +457,12 @@ class FPProbeResult:
 
     @cached_property
     def values(self) -> dict[Rect, tuple[Point, ...]]:
-        # every alpha point lies in I_l, sent onto r by any k in r's X-coset
-        il, alphas = rect_Il(self.n).words, alpha_points(self.n)
-        return {
-            r: tuple(map(AffinePiece._trusted(il, r.words).apply_point, alphas))
-            for r in self.members
-        }
+        # any k in r's X-coset sends I_l (corner 0) and its alphas x to lo + x * s
+        il, alphas, out = rect_Il(self.n).intervals(), alpha_points(self.n), {}
+        for r in self.members:
+            maps = [(lo, (hi - lo) / (b - a)) for (lo, hi), (a, b) in zip(r.intervals(), il)]
+            out[r] = tuple(tuple(lo + x * s for (lo, s), x in zip(maps, p)) for p in alphas)
+        return out
 
     @property
     def grid_violations(self) -> tuple[GridViolation, ...]:

@@ -464,14 +464,29 @@ def _partition_oracle(e):
     return is_partition(p.dom for p in e.pieces) and is_partition(p.ran for p in e.pieces)
 
 
+def _cuts(e, i):
+    """The table with piece i's longest domain word shortened by a letter,
+    then with that word extended by a letter, then without piece i: the volumes
+    no longer sum to 1."""
+    ps, p = e.pieces, e.pieces[i]
+    d = max(range(e.dim), key=lambda c: len(p.dom_words[c]))
+    for w in (p.dom_words[d][:-1], p.dom_words[d] + "1"):
+        if w != p.dom_words[d]:
+            dom = Rect(p.dom_words[:d] + (w,) + p.dom_words[d + 1 :])
+            yield Element.from_pieces(ps[:i] + (AffinePiece(dom, p.ran),) + ps[i + 1 :])
+    if len(ps) > 1:
+        yield Element.from_pieces(ps[:i] + ps[i + 1 :])
+
+
 def _mutants(e):
     """Per piece, the table with that piece given the domain, then the range,
     of the first other piece of the same depth (the volumes still sum to 1,
-    but two domains or two ranges coincide), and for n >= 2 the table with
-    that piece's domain words rotated a coordinate (same volume; it may
-    overlap others in part)."""
+    but two domains or two ranges coincide), for n >= 2 the table with that
+    piece's domain words rotated a coordinate (same volume; it may overlap
+    others in part), and the piece's ``_cuts``."""
     ps = e.pieces
     for i, p in enumerate(ps):
+        yield from _cuts(e, i)
         swaps = []
         for side in ("dom", "ran"):
             depth = getattr(p, side).depth
@@ -491,6 +506,20 @@ def test_validate_matches_the_all_pairs_partition_check(seed, size, n):
     assert validate(e) and _partition_oracle(e)
     for mutant in _mutants(e):
         assert validate(mutant) == _partition_oracle(mutant)
+
+
+@given(st.integers(0, 10_000), st.integers(1, 2), st.integers(1, 150), st.booleans())
+@settings(max_examples=40, deadline=None)
+def test_validate_flags_a_cut_deep_power_table(seed, n, k, invert):
+    """``X[d,0]^k``, its inverse and a composite are deep tables at n <= 2,
+    runs from eight pieces on: each validates, and each cut of a random
+    piece does not."""
+    rng = random.Random(seed)
+    g = eval_word(f"X[{rng.randint(1, n)},0]^{-k if invert else k}", n)
+    for e in (g, inverse(g), compose(g, random_element(n, 8, rng))):
+        assert validate(e)
+        cuts = list(_cuts(e, rng.randrange(len(e.pieces))))
+        assert len(cuts) >= 2 and not any(map(validate, cuts))
 
 
 @pytest.mark.parametrize(

@@ -22,6 +22,7 @@ from nvcalc.dyadic_core import Rect, contains_point, rect_intersect
 from nvcalc.element_algebra import (
     AffinePiece,
     Element,
+    _Run,
     _candidates,
     _compose_pieces,
     _dom_words,
@@ -171,6 +172,22 @@ def build(seed, n, size, expansions):
     return rng, g, refined(g, rng, expansions)
 
 
+def power_tables(rng, other):
+    """For n <= 2, ``X[d,0]^k`` for a random d and 1 <= |k| <= 150, its
+    inverse, and its composites with ``other`` on either side: deep tables
+    whose domains one coordinate separates, runs from eight pieces on."""
+    n = other.dim
+    if n > 2:
+        return []
+    k = rng.choice((-1, 1)) * rng.randint(1, 150)
+    g = eval_word(f"X[{rng.randint(1, n)},0]^{k}", n)
+    return [g, inverse(g), compose(g, other), compose(other, g)]
+
+
+def lower_corner(words):
+    return tuple(Fraction(int(w or "0", 2), 2 ** len(w)) for w in words)
+
+
 # ---------------------------------------------------------------------------
 # properties
 
@@ -304,14 +321,31 @@ def test_word_tuple_pieces_match_the_rectangle_form(spec):
 @given(elements)
 @settings(max_examples=80, deadline=None)
 def test_restrict_and_apply_match_linear_scans(spec):
+    """Random and refined tables and deep power tables.  ``apply`` is also
+    queried at the lower corner of every domain (of 152 at most, as many as
+    ``X[1,0]^150`` has; against the linear scan at four of them), at points
+    of denominator 61 and at a point outside the cube, where both raise."""
     rng, g, fine = build(*spec)
-    for e in (g, fine):
+    for e in (g, fine, *power_tables(rng, fine)):
         for _ in range(6):
             r = random_rect(rng, e.dim)
             assert restrict(e, r) == restrict_linear(e, r)
             assert is_affine_on(e, r) == affine_extension(restrict_linear(e, r), r)
             p = random_point(rng, e.dim)
-            assert apply(e, p) == apply_linear(e, p)
+            q = tuple(Fraction(rng.randrange(61), 61) for _ in range(e.dim))
+            for x in (p, q):
+                assert apply(e, x) == apply_linear(e, x)
+        some = e.pieces if len(e.pieces) <= 152 else rng.sample(e.pieces, 152)
+        corners = [(p, lower_corner(p.dom_words)) for p in some]
+        for piece, corner in corners:  # the pieces tile, so only its own holds it
+            assert apply(e, corner) == piece.apply_point(corner)
+        for _, corner in rng.sample(corners, min(4, len(corners))):
+            assert apply(e, corner) == apply_linear(e, corner)
+        out = list(random_point(rng, e.dim))
+        out[rng.randrange(e.dim)] = rng.choice((Fraction(1), Fraction(-1, 3), Fraction(3, 2)))
+        for path in (apply, apply_linear):
+            with pytest.raises(ValueError, match="no piece contains"):
+                path(e, tuple(out))
 
 
 @given(elements)
@@ -334,12 +368,16 @@ def meeting(e, r):
 
 
 def leaf_sizes(e):
-    """The number of pieces in each leaf of ``e``'s halving tree."""
+    """The number of pieces in each leaf of ``e``'s halving tree, each piece
+    of a run counting as its own cell: a run's bisection returns one piece
+    or a block that all meets the query."""
     todo, sizes = [e._tree], []
     while todo:
         node = todo.pop()
         if type(node) is list:
             todo += node[2:]
+        elif type(node) is _Run:
+            sizes += [1] * len(node.pieces)
         else:
             sizes.append(len(node))
     return sorted(sizes)
@@ -363,10 +401,11 @@ def near_rect(rng, words):
 def test_candidates_hold_every_piece_that_meets_the_query(seed, n, size, expansions):
     """Random and refined tables of every size from one piece, queried with
     random rectangles and with rectangles around a piece's domain: no piece
-    that meets the query is missing or repeated.  For n <= 2 every leaf holds
-    one piece and no other piece is returned."""
+    that meets the query is missing or repeated, also on deep power tables.
+    For n <= 2 every leaf holds one piece (a run's pieces count one each)
+    and no other piece is returned."""
     rng, g, fine = build(seed, n, size, expansions)
-    for e in (g, fine):
+    for e in (g, fine, *power_tables(rng, fine)):
         queries = [random_rect(rng, n) for _ in range(6)]
         queries += [near_rect(rng, rng.choice(e.pieces).dom_words) for _ in range(6)]
         exact = n <= 2
@@ -450,6 +489,18 @@ def test_expansion_inserts_the_halves_where_the_rebuild_sorts_them(n, size, seed
         assert fine == expansion_rebuild(g, i, d)
         assert list(fine.pieces) == sorted(fine.pieces, key=_dom_words)
         g = fine
+
+
+@pytest.mark.parametrize("n", [1, 2])
+def test_a_power_of_x_is_one_run(n):
+    """``X[1,0]^k`` has k + 2 domains that coordinate 1 alone separates, so
+    from eight pieces on its tree is one run of all of them, however deep
+    the words; below eight the cell halves, one piece per leaf."""
+    for k in (1, 4, 5):
+        assert type(eval_word(f"X[1,0]^{k}", n)._tree) is list
+    for k in (6, 7, 64, 150):
+        tree = eval_word(f"X[1,0]^{k}", n)._tree
+        assert type(tree) is _Run and tree.by == 0 and len(tree.pieces) == k + 2
 
 
 def test_powers_by_squaring_match_the_per_exponent_loop():
