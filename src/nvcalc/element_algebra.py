@@ -17,8 +17,9 @@ valid ones are built unchecked from words with ``_trusted``.  One word walk,
 ``_compose_pieces``, serves ``compose``, ``restrict``, ``equals``, coset
 equality and the ``eval_word`` fold, which starts from its first factor's
 pieces.  A candidate whose domain equals the range it meets skips the walk.
-Candidates come from a halving tree over each element's domains, cached; a
-cell that one coordinate's words already separate is one run, bisected.
+Every lookup, ``apply``'s too, asks ``_candidates`` of a halving tree over
+each element's domains, cached; a cell that one coordinate's words already
+separate is one run, bisected by the query's word, so a run has no width.
 
 Convention: ``compose(g, h)`` is the map "apply h first, then g" (so a word
 written ``g h`` acts on the cube through its right factor first).  This is the
@@ -41,7 +42,6 @@ from typing import Iterable, Sequence
 from nvcalc.dyadic_core import (
     Point,
     Rect,
-    contains_point,
     halve,
     rect_intersect,
     word_interval,
@@ -131,7 +131,7 @@ class AffinePiece:
 _set_dom = AffinePiece.dom_words.__set__
 _set_ran = AffinePiece.ran_words.__set__
 _dom_words = attrgetter("dom_words")
-_Run = namedtuple("_Run", "by words pieces width")  # see Element._tree
+_Run = namedtuple("_Run", "by words pieces")  # see Element._tree
 
 
 @dataclass(frozen=True)
@@ -164,18 +164,24 @@ class Element:
         return hash((self.dim, self.pieces))
 
     @cached_property
+    def _cut(self) -> tuple[int, ...]:
+        """The cylinder lemma's L: the longest domain word in each coordinate."""
+        return tuple(max(map(len, ws)) for ws in zip(*map(_dom_words, self.pieces)))
+
+    @cached_property
     def _tree(self) -> list | tuple:
-        """The halving tree over the domain pattern.  A node ``[d, k, lo, hi]``
-        halves its cell at letter k of coordinate d, which no piece in the cell
-        spans; the coordinate the cell is sorted by comes first, as it halves
-        by bisection.  A leaf is the tuple of the cell's pieces, or a ``_Run``:
-        a cell of eight or more pieces (fewer halve as fast as they bisect)
-        whose words in the coordinate it is sorted by are prefix-free, kept
-        whole and bisected; tiling pieces with disjoint words in one
-        coordinate span the cell in every other.  Any other leaf holds
-        several pieces only where no coordinate halves.  For n <= 2 every
-        cell of two or more disjoint pieces halves: a piece spanning it in
-        coordinate 1 and one spanning it in coordinate 2 would meet.  For
+        """The halving tree over the domain pattern, read only by
+        ``_candidates``.  A node ``[d, k, lo, hi]`` halves its cell at letter
+        k of coordinate d, which no piece in the cell spans; the coordinate
+        the cell is sorted by comes first, as it halves by bisection.  A leaf
+        is the tuple of the cell's pieces, or a ``_Run``: a cell of eight or
+        more pieces (fewer halve as fast as they bisect) whose words in the
+        coordinate it is sorted by are prefix-free, kept whole and bisected
+        by the query's word, so it has no width; tiling pieces with disjoint
+        words in one coordinate span the cell in every other.  Any other leaf
+        holds several pieces only where no coordinate halves.  For n <= 2
+        every cell of two or more disjoint pieces halves: a piece spanning it
+        in coordinate 1 and one spanning it in coordinate 2 would meet.  For
         n = 3 the pinwheel ("", "0", "0"), ("0", "", "1"), ("1", "1", ""),
         ("1", "0", "1"), ("0", "1", "0") does not."""
         top: list = [None]
@@ -185,7 +191,7 @@ class Element:
             if len(cell) > 7:
                 ws = [p.dom_words[by] for p in cell]
                 if not any(map(str.startswith, ws[1:], ws)):
-                    node[slot] = _Run(by, ws, tuple(cell), max(map(len, ws)))
+                    node[slot] = _Run(by, ws, tuple(cell))
                     continue
             for d in (by, *range(self.dim)) if len(cell) > 1 else ():
                 k = depths[d]
@@ -211,7 +217,8 @@ def _candidates(g: Element, words: tuple[str, ...]) -> Sequence[AffinePiece]:
     named by letter k of ``words[d]``, or both if the word has none; a run
     bisects to the one piece whose word there ``words[d]`` extends, or else
     to the block of pieces whose words extend it.  For n <= 2 these are
-    exactly the pieces that meet it; the callers' word walks drop the others."""
+    exactly the pieces that meet it; the callers' word walks drop the others.
+    Every lookup in g's pieces, ``apply``'s included, goes through here."""
     todo, out = [g._tree], []
     while todo:
         node = todo.pop()
@@ -226,7 +233,7 @@ def _candidates(g: Element, words: tuple[str, ...]) -> Sequence[AffinePiece]:
         if type(node) is tuple:
             out += node
             continue
-        d, ws, pieces, _ = node
+        d, ws, pieces = node
         i = bisect_right(ws, words[d])
         if i and words[d].startswith(ws[i - 1]):
             out.append(pieces[i - 1])
@@ -317,21 +324,15 @@ def inverse(g: Element) -> Element:
 
 def apply(g: Element, p: Point) -> Point:
     """Exact image of a point of the half-open cube (no coordinate equals 1).
-    Letter k of coordinate d is bit k + 1 of ``p[d]``: g's halving tree is
-    descended by those bits, and a run bisected by the point's leading bits."""
+    Coordinate d is read once as a word of ``g._cut[d]`` bits; the point lies
+    in the one of those words' ``_candidates`` whose domain words prefix them."""
     if len(p) != g.dim:
         raise ValueError(f"point dimension {len(p)} != element dimension {g.dim}")
-    node = g._tree
-    while type(node) is list:
-        d, k, lo, hi = node
-        node = hi if p[d] * 2 ** (k + 1) % 2 >= 1 else lo
-    if type(node) is _Run:
-        d, ws, pieces, width = node
-        i = bisect_right(ws, format(int(p[d] * 2**width), f"0{width}b"))
-        node = pieces[i - 1 : i]
-    for piece in node:
-        if contains_point(piece.dom, p):
-            return piece.apply_point(p)
+    if all(0 <= x < 1 for x in p):
+        words = tuple(bin(int(x * 2**c) + 2**c)[3:] for x, c in zip(p, g._cut))
+        for piece in _candidates(g, words):
+            if all(map(str.startswith, words, piece.dom_words)):
+                return piece.apply_point(p)
     raise ValueError(f"no piece contains {p}; element invalid or point outside cube")
 
 

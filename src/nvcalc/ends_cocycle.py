@@ -176,8 +176,7 @@ def failing_cylinders(
     """
     if depth < 0:
         raise ValueError("depth must be >= 0")
-    n = g.dim
-    cut = tuple(max(len(p.dom_words[d]) for p in g.pieces) for d in range(n))
+    n, cut = g.dim, g._cut
     found, level = [], {("",) * n: g.pieces}
     for _ in range(min(depth, sum(cut)) + 1):
         failing = [

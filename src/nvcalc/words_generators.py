@@ -157,6 +157,7 @@ def _generator(n: int, base: list[tuple[dict, dict]], i: int) -> Element:
     every coordinate-1 word on both sides, with the fixed cells (1), (01),
     ..., (0^(i-1) 1) added, so it fixes everything outside that slab."""
     _check_index(i)
+    Rect.cube(n)  # checks n before the tables' n-tuples are built
 
     def rect(words: dict[int, str]) -> Rect:  # prefixed in coordinate 1 only
         words = {**words, 1: "0" * i + words.get(1, "")}

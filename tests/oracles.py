@@ -20,11 +20,13 @@ right-half copy lies in H, and that conjugating one by ``X[1,1]`` keeps it
 in H (through ``in_H(coset_of(...))``).  ``in_H`` and ``slope_exponents``
 are the membership test for H and a piece's slopes, which only tests use.
 
-``is_partition`` and ``rect_to_coset`` are the two checks the program itself
-never needs: whether rectangles tile the cube, by volume and an all-pairs
-disjointness test (``validate``'s oracle), and a witness k for the X-coset of
-a rectangle r, the canonical element sending I_l onto r by one substitution
-and a staircase of the right half onto the complement of r.
+``is_partition``, ``contains_point`` and ``rect_to_coset`` are checks the
+program itself never needs: whether rectangles tile the cube, by volume and
+an all-pairs disjointness test (``validate``'s oracle), whether a point lies
+in a rectangle, interval by interval (the reference for ``apply``'s prefix
+test of the point's bits), and a witness k for the X-coset of a rectangle r,
+the canonical element sending I_l onto r by one substitution and a staircase
+of the right half onto the complement of r.
 
 ``eval_word_fold`` and ``expansion_rebuild`` build what the program builds
 once or in place: a word's value with every generator and inverse made
@@ -41,12 +43,12 @@ from typing import Iterable, Sequence
 from nvcalc.dyadic_core import (
     Point,
     Rect,
-    contains_point,
     enumerate_rects,
     halve,
     rect_Il,
     rect_Ir,
     rect_intersect,
+    word_interval,
 )
 from nvcalc.element_algebra import (
     AffinePiece,
@@ -130,6 +132,17 @@ def is_partition(rects: Iterable[Rect]) -> bool:
         for b in rs[i + 1 :]:
             if rect_intersect(a, b) is not None:
                 return False
+    return True
+
+
+def contains_point(r: Rect, p: Point) -> bool:
+    """Half-open membership: every coordinate satisfies ``lo <= x < hi``."""
+    if len(p) != r.dim:
+        raise ValueError(f"point dimension {len(p)} != rect dimension {r.dim}")
+    for w, x in zip(r.words, p):
+        lo, hi = word_interval(w)
+        if not (lo <= x < hi):
+            return False
     return True
 
 

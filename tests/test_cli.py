@@ -9,6 +9,7 @@ import pytest
 
 from nvcalc import cli, element_algebra
 from nvcalc.cli import main
+from nvcalc.dyadic_core import MAX_DIM
 from nvcalc.element_algebra import MAX_PIECES, element_to_json, random_element
 from nvcalc.ends_cocycle import MAX_MEMBERS, sym_diff_truncated
 from nvcalc.words_generators import MAX_LETTERS, eval_word
@@ -218,6 +219,26 @@ def test_boundary_inputs_exit_two(capsys, argv, message):
     assert out == ""
     assert err.startswith("error: ") and message in err
     assert err.count("\n") == 1
+
+
+@pytest.mark.parametrize(
+    "argv",
+    [
+        ["eval", "--word", "P[0]"],
+        ["apply", "--word", "X[1,0]", "--point", "0"],
+        ["random"],
+        ["relations"],
+        ["premises"],
+        ["properness", "--ball", "0"],
+    ],
+    ids=lambda argv: argv[0],
+)
+def test_dimension_past_the_bound_exits_two(capsys, argv):
+    """``--n`` past ``MAX_DIM`` is rejected before any n-tuple is built: the
+    n-tuples of ``eval --n 4000000`` alone take seconds and gigabytes."""
+    code, out, err = run(capsys, [*argv, "--n", "100000000"])
+    assert (code, out) == (2, "")
+    assert err == f"error: dimension must be <= {MAX_DIM}, got 100000000\n"
 
 
 def test_word_past_the_piece_budget_exits_two(capsys):

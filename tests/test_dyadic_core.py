@@ -10,8 +10,8 @@ from hypothesis import given, settings
 from hypothesis import strategies as st
 
 from nvcalc.dyadic_core import (
+    MAX_DIM,
     Rect,
-    contains_point,
     corner_projections,
     count_rects,
     enumerate_rects,
@@ -22,7 +22,7 @@ from nvcalc.dyadic_core import (
     word_interval,
 )
 from nvcalc.element_algebra import _random_leaves
-from oracles import RectRelation, corners, is_partition, rect_relation
+from oracles import RectRelation, contains_point, corners, is_partition, rect_relation
 
 F = Fraction
 
@@ -89,6 +89,10 @@ def test_rect_cube_and_halves():
     assert rect_Ir(2) == Rect(("1", ""))
     with pytest.raises(ValueError):
         Rect.cube(0)
+    assert Rect.cube(MAX_DIM).dim == MAX_DIM
+    past = MAX_DIM + 1
+    with pytest.raises(ValueError, match=f"^dimension must be <= {MAX_DIM}, got {past}$"):
+        Rect.cube(past)
 
 
 def test_rect_rejects_bad_words():

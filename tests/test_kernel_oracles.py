@@ -18,7 +18,8 @@ import pytest
 from hypothesis import given, settings
 from hypothesis import strategies as st
 
-from nvcalc.dyadic_core import Rect, contains_point, rect_intersect
+from nvcalc import element_algebra
+from nvcalc.dyadic_core import Rect, rect_intersect
 from nvcalc.element_algebra import (
     AffinePiece,
     Element,
@@ -51,6 +52,7 @@ from nvcalc.words_generators import (
 )
 from oracles import (
     affine_extension,
+    contains_point,
     embed_in_half,
     expansion_rebuild,
     image_of,
@@ -182,6 +184,13 @@ def power_tables(rng, other):
     k = rng.choice((-1, 1)) * rng.randint(1, 150)
     g = eval_word(f"X[{rng.randint(1, n)},0]^{k}", n)
     return [g, inverse(g), compose(g, other), compose(other, g)]
+
+
+def deep_table(rng):
+    """``compose(random_element(2, 24, rng), X[1,0]^150)``: an n = 2 table of
+    up to about 1,200 pieces whose deep domains lie under halving-tree nodes
+    as well as in runs."""
+    return compose(random_element(2, 24, rng), eval_word("X[1,0]^150", 2))
 
 
 def lower_corner(words):
@@ -321,12 +330,15 @@ def test_word_tuple_pieces_match_the_rectangle_form(spec):
 @given(elements)
 @settings(max_examples=80, deadline=None)
 def test_restrict_and_apply_match_linear_scans(spec):
-    """Random and refined tables and deep power tables.  ``apply`` is also
-    queried at the lower corner of every domain (of 152 at most, as many as
-    ``X[1,0]^150`` has; against the linear scan at four of them), at points
-    of denominator 61 and at a point outside the cube, where both raise."""
+    """Random and refined tables, deep power tables and, at n = 2, a
+    ``deep_table``.  ``apply`` is also queried at the lower corner of every
+    domain (of 152 at most, as many as ``X[1,0]^150`` has; against the
+    linear scan at four of them), at points of denominator 61 and at the
+    points outside the cube with one coordinate -1/2, -1/3, 1 or 3/2, where
+    it raises, as the linear scan does at one of them."""
     rng, g, fine = build(*spec)
-    for e in (g, fine, *power_tables(rng, fine)):
+    deep = [deep_table(rng)] if g.dim == 2 else []
+    for e in (g, fine, *power_tables(rng, fine), *deep):
         for _ in range(6):
             r = random_rect(rng, e.dim)
             assert restrict(e, r) == restrict_linear(e, r)
@@ -341,11 +353,16 @@ def test_restrict_and_apply_match_linear_scans(spec):
             assert apply(e, corner) == piece.apply_point(corner)
         for _, corner in rng.sample(corners, min(4, len(corners))):
             assert apply(e, corner) == apply_linear(e, corner)
-        out = list(random_point(rng, e.dim))
-        out[rng.randrange(e.dim)] = rng.choice((Fraction(1), Fraction(-1, 3), Fraction(3, 2)))
-        for path in (apply, apply_linear):
-            with pytest.raises(ValueError, match="no piece contains"):
-                path(e, tuple(out))
+        inside = random_point(rng, e.dim)
+        outside = [
+            inside[:d] + (x,) + inside[d + 1 :]
+            for d in range(e.dim)
+            for x in (Fraction(-1, 2), Fraction(-1, 3), Fraction(1), Fraction(3, 2))
+        ]
+        for path, points in ((apply, outside), (apply_linear, [rng.choice(outside)])):
+            for x in points:
+                with pytest.raises(ValueError, match="no piece contains"):
+                    path(e, x)
 
 
 @given(elements)
@@ -474,6 +491,35 @@ def test_the_pinwheel_leaf_through_every_kernel_path(embedded, seed):
         q = tuple(Fraction(rng.randrange(1, 61), 61) for _ in range(3))
         for x in (p, q):
             assert apply(g, x) == apply_linear(g, x)
+
+
+@pytest.mark.parametrize("seed", range(4))
+def test_apply_makes_one_candidates_call(monkeypatch, seed):
+    """``apply`` finds its piece through exactly one ``_candidates`` lookup,
+    the one every other kernel path makes, with the point's words as deep as
+    each coordinate's longest domain word: on a run, a tree of one-piece
+    leaves, a pinwheel leaf and a random n = 3 table."""
+    rng = random.Random(seed)
+    tables = (
+        eval_word("X[1,0]^40", 1),
+        deep_table(rng),
+        pinwheel_element(rng, embedded=seed % 2 == 1),
+        refined(random_element(3, 24, rng), rng, 12),
+    )
+    asked, lookup = [], element_algebra._candidates
+
+    def counted(g, words):
+        asked.append(words)
+        return lookup(g, words)
+
+    monkeypatch.setattr(element_algebra, "_candidates", counted)
+    for e in tables:
+        for piece in rng.sample(e.pieces, min(8, len(e.pieces))):
+            for p in (lower_corner(piece.dom_words), random_point(rng, e.dim)):
+                asked.clear()
+                assert apply(e, p) == apply_linear(e, p)
+                assert len(asked) == 1
+                assert tuple(map(len, asked[0])) == e._cut
 
 
 @given(n=st.integers(1, 3), size=st.integers(1, 24), seed=st.integers(0, 10**6))

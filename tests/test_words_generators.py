@@ -8,7 +8,7 @@ import pytest
 from hypothesis import example, given, settings
 from hypothesis import strategies as st
 
-from nvcalc.dyadic_core import Rect, rect_Ir
+from nvcalc.dyadic_core import MAX_DIM, Rect, rect_Ir
 from nvcalc.element_algebra import (
     Element,
     apply,
@@ -305,6 +305,22 @@ def test_empty_word_is_the_identity_table(n):
 def test_eval_word_rejects_dimension_below_one(word, n):
     with pytest.raises(ValueError, match="^dimension must be >= 1$"):
         eval_word(word, n)
+
+
+@pytest.mark.parametrize(
+    "build",
+    [
+        lambda n: make_X(2, 0, n),
+        lambda n: make_C(2, 1, n),
+        lambda n: make_pi(0, n),
+        lambda n: make_pibar(3, n),
+    ],
+    ids=["X", "C", "P", "Pb"],
+)
+def test_generators_check_the_dimension_bound_first(build):
+    """Each builder checks n against ``MAX_DIM`` before its first n-tuple."""
+    with pytest.raises(ValueError, match=f"^dimension must be <= {MAX_DIM}, got 100000000$"):
+        build(10**8)
 
 
 def test_eval_word_rejects_out_of_range_coordinates():
