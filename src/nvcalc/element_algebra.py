@@ -44,7 +44,6 @@ from nvcalc.dyadic_core import (
     Rect,
     halve,
     rect_intersect,
-    word_interval,
 )
 
 __all__ = [
@@ -116,11 +115,10 @@ class AffinePiece:
         """Exact image of a point of the (half-open) domain."""
         out = []
         for u, v, x in zip(self.dom_words, self.ran_words, p):
-            lo_u, hi_u = word_interval(u)
-            if not (lo_u <= x < hi_u):
+            s = x * 2 ** len(u) - int(u or "0", 2)  # x's place in u's interval
+            if not 0 <= s < 1:
                 raise ValueError(f"{x} outside domain word {u!r}")
-            lo_v, _ = word_interval(v)
-            out.append(lo_v + (x - lo_u) * Fraction(2 ** len(u), 2 ** len(v)))
+            out.append(Fraction(int(v or "0", 2) + s, 2 ** len(v)))
         return tuple(out)
 
     def inverted(self) -> "AffinePiece":

@@ -110,29 +110,36 @@ _TERM_RE = re.compile(
 )
 
 
+@lru_cache(maxsize=1024)  # bounded, as ``re``'s pattern cache: terms are user text
+def _parse_term(tok: str) -> GenSymbol | str:
+    """One term's symbol, or the message ``"bad term"`` / ``"zero exponent
+    in"`` for ``parse_word`` to raise with the term's own position."""
+    tm = _TERM_RE.match(tok)
+    if tm is None:
+        return "bad term"
+    xc_kind, xc_d, xc_i, p_kind, p_i, exp_s = tm.groups()
+    exp = int(exp_s) if exp_s is not None else 1
+    if exp == 0:
+        return "zero exponent in"
+    if xc_kind is not None:
+        return GenSymbol(xc_kind, int(xc_d), int(xc_i), exp)
+    return GenSymbol(p_kind, None, int(p_i), exp)
+
+
 def parse_word(text: str) -> Word:
     """Parse ``"X[1,0]^-1 P[3]"``-style words (terms separated by whitespace).
 
-    Raises ValueError with the character position of the offending term.
-    Out-of-range indices for a given dimension are deliberately not checked
-    here; they surface when the word is evaluated.
+    Each distinct term text is matched and converted once, by a memo of at
+    most 1,024 terms.  Raises ValueError with the character position of the
+    offending term.  Out-of-range indices for a given dimension are
+    deliberately not checked here; they surface when the word is evaluated.
     """
     symbols = []
     for m in re.finditer(r"\S+", text):
-        tok = m.group(0)
-        tm = _TERM_RE.match(tok)
-        if tm is None:
-            raise ValueError(f"syntax error at position {m.start()}: bad term {tok!r}")
-        xc_kind, xc_d, xc_i, p_kind, p_i, exp_s = tm.groups()
-        exp = int(exp_s) if exp_s is not None else 1
-        if exp == 0:
-            raise ValueError(
-                f"syntax error at position {m.start()}: zero exponent in {tok!r}"
-            )
-        if xc_kind is not None:
-            symbols.append(GenSymbol(xc_kind, int(xc_d), int(xc_i), exp))
-        else:
-            symbols.append(GenSymbol(p_kind, None, int(p_i), exp))
+        sym = _parse_term(m[0])
+        if isinstance(sym, str):
+            raise ValueError(f"syntax error at position {m.start()}: {sym} {m[0]!r}")
+        symbols.append(sym)
     return Word(tuple(symbols))
 
 
@@ -255,10 +262,11 @@ def eval_word(word: Word | str, n: int) -> Element:
     ``n`` is checked once, at the boundary, by ``Rect.cube(n)``.  The fold runs
     on bare piece lists from the first factor's pieces (the empty word gives
     ``identity(n)``), sorting once.  Generators, their inverses and the S2
-    quotients are built once per dimension; squares ``e^(2^j)`` and results
-    by word are not cached.  A step's longest word is bounded (i + 2 at index
-    i, summed by a fold, doubled by a square) and read exactly once pieces x
-    n x bound pass ``MAX_LETTERS``: ValueError if that passes it too."""
+    quotients are built once per dimension, and terms once per distinct text
+    (``parse_word``, at most 1,024 kept); squares ``e^(2^j)`` and results by
+    word are not cached.  A step's longest word is bounded (i + 2 at index i,
+    summed by a fold, doubled by a square) and read exactly once pieces x n x
+    bound pass ``MAX_LETTERS``: ValueError if that passes it too."""
     if isinstance(word, str):
         word = parse_word(word)
     Rect.cube(n)
@@ -283,6 +291,18 @@ def eval_word(word: Word | str, n: int) -> Element:
     return Element(n, tuple(sorted(acc, key=_dom_words)))
 
 
+#: The largest dimension the suites take: their checks cost about n^3 (at n = 32,
+#: ``relation_suite`` takes 1.6 s and ``corollary_checks`` 0.6 s on a 2-vCPU machine).
+MAX_SUITE_DIM = 32
+
+
+def _check_suite_dim(n: int) -> None:
+    """Before a suite's first identity: 1 <= n <= ``MAX_SUITE_DIM``."""
+    Rect.cube(n)  # n >= 1 and n <= MAX_DIM, with every command's messages
+    if n > MAX_SUITE_DIM:
+        raise ValueError(f"dimension must be <= {MAX_SUITE_DIM} for a suite, got {n}")
+
+
 def _words_equal(lhs: str, rhs: str, n: int) -> bool:
     return equals(eval_word(lhs, n), eval_word(rhs, n))
 
@@ -302,8 +322,7 @@ def relation_suite(n: int, i_max: int = 3) -> CheckReport:
     skipped when n = 1.  The side conditions are part of each family's
     definition and are instantiated exactly as stated.
     """
-    if n < 1:
-        raise ValueError("dimension must be >= 1")
+    _check_suite_dim(n)
     if i_max < 3:
         raise ValueError("i_max must be >= 3 to reach every family")
     extra = 1 if n == 1 else 2  # X[d,i+1]; C[d,i+2] if n >= 2
@@ -364,8 +383,7 @@ def corollary_checks(n: int, i_max: int = 4) -> CheckReport:
     low-index one, and that ``Pb[0]`` and ``C[d',0]`` are recovered as words
     over the finite generating set S (via the rearranged braid relations).
     """
-    if n < 1:
-        raise ValueError("dimension must be >= 1")
+    _check_suite_dim(n)
     if i_max < 2:
         raise ValueError("i_max must be >= 2 to reach every family")
     note = f" (i_max must be <= {isqrt(MAX_PIECES)} in dimension {n})"
@@ -453,8 +471,7 @@ def premise_checks(n: int) -> CheckReport:
     relations only make ``P[j]`` and ``X[d,i]`` commute for i > j+1 — so
     those pairs are computed and reported as findings, never asserted.
     """
-    if n < 1:
-        raise ValueError("dimension must be >= 1")
+    _check_suite_dim(n)
     report = CheckReport("premise_checks", n)
     s2 = gen_set_S2(n)
     for section, letters, rect, text in (

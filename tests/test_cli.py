@@ -180,6 +180,9 @@ def test_library_value_error_exit_two(capsys, argv):
             ["fprobe", "--n", "2", "--word", "X[1,0]", "--depth", "-1"],
             "error: depth must be >= 0\n",
         ),
+        (["relations", "--n", "1000"], "error: dimension must be <= 32 for a suite, got 1000\n"),
+        (["corollaries", "--n", "33"], "error: dimension must be <= 32 for a suite, got 33\n"),
+        (["premises", "--n", "33"], "error: dimension must be <= 32 for a suite, got 33\n"),
     ],
     ids=[
         "properness-ball",
@@ -201,6 +204,9 @@ def test_library_value_error_exit_two(capsys, argv):
         "properness-n0",
         "properness-n-negative",
         "fprobe-negative-depth",
+        "relations-n",
+        "corollaries-n",
+        "premises-n",
     ],
 )
 def test_boundary_inputs_exit_two(capsys, argv, message):
@@ -212,8 +218,10 @@ def test_boundary_inputs_exit_two(capsys, argv, message):
     printing limit, a generator index of 10^8 whose table costs i^2 to
     build, a relation suite reaching index 100001, rejected before its first
     identity, a 2^41-rectangle enumeration, more than ``MAX_MEMBERS``
-    counts).  A suite's index error names the largest i_max allowed; those
-    cases and the count budgets give the whole stderr line."""
+    counts, a suite past its dimension budget, whose checks cost about n^3).
+    A suite's index error names the largest i_max allowed; those cases, the
+    suites' dimension budget and the count budgets give the whole stderr
+    line."""
     code, out, err = run(capsys, argv)
     assert code == 2
     assert out == ""

@@ -95,6 +95,46 @@ def test_parse_error_positions():
         parse_word("Pb[2,0]")
 
 
+def test_memoised_terms_keep_their_own_positions_and_errors():
+    """The term memo keeps a bad term's verdict, not its message: the term
+    reports its own position in each word, raises again on every parse, and
+    a zero exponent is still one after its base term was cached."""
+    words_generators._parse_term.cache_clear()
+    for _ in range(2):
+        for text, at in (("P[1,2]", 0), ("X[1,0] P[1,2]", 7)):
+            with pytest.raises(ValueError) as err:
+                parse_word(text)
+            assert str(err.value) == f"syntax error at position {at}: bad term 'P[1,2]'"
+    assert parse_word("X[1,0] X[01,0]") == Word((GenSymbol("X", 1, 0),) * 2)
+    with pytest.raises(ValueError) as err:
+        parse_word("X[1,0] X[1,0]^0")
+    assert str(err.value) == "syntax error at position 7: zero exponent in 'X[1,0]^0'"
+
+
+@st.composite
+def gen_symbols(draw):
+    """Any symbol of the four kinds: indices up to 999, exponents +-1..+-999."""
+    kind = draw(st.sampled_from(("X", "C", "P", "Pb")))
+    d = draw(st.integers(1 + (kind == "C"), 999)) if kind in ("X", "C") else None
+    exp = draw(st.integers(1, 999)) * draw(st.sampled_from((1, -1)))
+    return GenSymbol(kind, d, draw(st.integers(0, 999)), exp)
+
+
+@given(st.lists(gen_symbols(), max_size=6))
+@settings(max_examples=200, deadline=None)
+def test_parse_word_inverts_format_word(symbols):
+    word = Word(tuple(symbols))
+    assert parse_word(format_word(word)) == word
+
+
+def test_term_memo_is_bounded():
+    """Parsing more distinct terms than the memo holds leaves it at its bound."""
+    bound = words_generators._parse_term.cache_parameters()["maxsize"]
+    for i in range(bound + 50):
+        assert parse_word(f"P[{i}]") == Word((GenSymbol("P", None, i),))
+    assert words_generators._parse_term.cache_info().currsize <= bound
+
+
 def test_exponent_one_formats_bare():
     assert GenSymbol("X", 2, 1, 1).format() == "X[2,1]"
     assert GenSymbol("X", 2, 1, -1).format() == "X[2,1]^-1"
@@ -375,6 +415,23 @@ def test_relation_suite_argument_errors():
 
 class _Evaluated(Exception):
     """A suite got past its index check to its first identity."""
+
+
+@pytest.mark.parametrize("suite", [relation_suite, corollary_checks, premise_checks])
+def test_suite_dimension_budget_is_checked_before_any_identity(monkeypatch, suite):
+    """A suite's checks cost about n^3: ``MAX_SUITE_DIM`` starts evaluating,
+    one above it raises before the first identity."""
+    def first(*args):
+        raise _Evaluated
+
+    monkeypatch.setattr(words_generators, "_words_equal", first)
+    monkeypatch.setattr(words_generators, "is_identity_on", first)
+    top = words_generators.MAX_SUITE_DIM
+    with pytest.raises(_Evaluated):
+        suite(top)
+    message = f"^dimension must be <= {top} for a suite, got {top + 1}$"
+    with pytest.raises(ValueError, match=message):
+        suite(top + 1)
 
 
 @pytest.mark.parametrize(
