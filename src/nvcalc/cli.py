@@ -49,14 +49,10 @@ from nvcalc.words_generators import (
 __all__ = ["main"]
 
 
-class UsageError(Exception):
-    """Invalid arguments or inputs; maps to exit status 2."""
-
-
 def _parse_point(text: str, n: int) -> Point:
     parts = [p.strip() for p in text.split(",")]
     if len(parts) != n:
-        raise UsageError(f"point has {len(parts)} coordinates, expected {n}")
+        raise ValueError(f"point has {len(parts)} coordinates, expected {n}")
     coords = []
     for p in parts:
         # Fraction expands 10**exponent and the report prints the reduced
@@ -64,15 +60,15 @@ def _parse_point(text: str, n: int) -> Point:
         mantissa, _, exponent = p.lower().replace("_", "").partition("e")
         exponent = exponent.lstrip("+-").lstrip("0")
         if exponent.isdecimal() and (len(exponent) > 4 or int(exponent) > 4300):
-            raise UsageError(f"coordinate {p!r}: exponent above 4300")
+            raise ValueError(f"coordinate {p!r}: exponent above 4300")
         try:
             x = Fraction(p) if sum(map(str.isdecimal, mantissa)) <= 4300 else None
         except (ValueError, ZeroDivisionError) as exc:
-            raise UsageError(f"bad coordinate {p!r}: {exc}") from exc
+            raise ValueError(f"bad coordinate {p!r}: {exc}") from exc
         if x is None or x.denominator >= 10**4300:  # 0 <= x < 1: num < den
-            raise UsageError(f"coordinate {p!r}: over 4300 digits")
+            raise ValueError(f"coordinate {p!r}: over 4300 digits")
         if not 0 <= x < 1:
-            raise UsageError(f"coordinate {p} outside [0, 1)")
+            raise ValueError(f"coordinate {p} outside [0, 1)")
         coords.append(x)
     return tuple(coords)
 
@@ -85,14 +81,14 @@ def _parse_depths(text: str) -> list[int]:
     try:
         lo, hi = int(lo_s), int(hi_s if dots else lo_s)
     except ValueError as exc:
-        raise UsageError(f"bad depth{' range' if dots else ''} {text!r}") from exc
+        raise ValueError(f"bad depth{' range' if dots else ''} {text!r}") from exc
     if lo < 0 and not dots:
-        raise UsageError("depth must be >= 0")
+        raise ValueError("depth must be >= 0")
     if lo < 0 or hi < lo:
-        raise UsageError(f"bad depth range {text!r}")
+        raise ValueError(f"bad depth range {text!r}")
     written = (hi - lo + 1) * (lo + hi + 2) // 2
     if written > MAX_MEMBERS:
-        raise UsageError(
+        raise ValueError(
             f"depths {text} would write {written} counts, more than {MAX_MEMBERS}"
         )
     return list(range(lo, hi + 1))
@@ -105,19 +101,19 @@ def _load_element(args: argparse.Namespace) -> Element:
             with open(args.element_file, "r", encoding="utf-8") as fh:
                 g = element_from_json(fh.read())
         except OSError as exc:
-            raise UsageError(f"cannot read element file: {exc}") from exc
+            raise ValueError(f"cannot read element file: {exc}") from exc
         except (ValueError, KeyError, TypeError, RecursionError) as exc:
-            raise UsageError(f"bad element file: {exc}") from exc
+            raise ValueError(f"bad element file: {exc}") from exc
         if not validate(g):
-            raise UsageError("bad element file: pieces do not partition the cube")
+            raise ValueError("bad element file: pieces do not partition the cube")
         if args.n is not None and g.dim != args.n:
-            raise UsageError(
+            raise ValueError(
                 f"element file has dimension {g.dim}, but --n {args.n} given"
             )
         args.n = g.dim
         return g
     if args.n is None:
-        raise UsageError("--n is required with --word")
+        raise ValueError("--n is required with --word")
     return eval_word(args.word, args.n)
 
 
@@ -138,11 +134,11 @@ def _report(report: Any) -> tuple[dict[str, Any], bool]:
 def _equal(args: argparse.Namespace) -> tuple[dict[str, Any], bool]:
     for i, (word, w) in enumerate(((args.word1, args.w1), (args.word2, args.w2)), 1):
         if word is not None and w is not None:
-            raise UsageError(f"give --word{i} or --w{i}, not both")
+            raise ValueError(f"give --word{i} or --w{i}, not both")
     w1 = args.word1 if args.word1 is not None else args.w1
     w2 = args.word2 if args.word2 is not None else args.w2
     if w1 is None or w2 is None:
-        raise UsageError("equal needs --word1/--w1 and --word2/--w2")
+        raise ValueError("equal needs --word1/--w1 and --word2/--w2")
     same = equals(eval_word(w1, args.n), eval_word(w2, args.n))
     return {"equal": same}, same
 
@@ -152,7 +148,7 @@ def _apply(args: argparse.Namespace) -> tuple[dict[str, Any], bool]:
     p = _parse_point(args.point, args.n)
     image = apply_element(g, p)
     if any(y.denominator >= 10**4300 for y in image):  # as for the point
-        raise UsageError(f"image of point {args.point!r}: over 4300 digits")
+        raise ValueError(f"image of point {args.point!r}: over 4300 digits")
     return {"point": list(map(str, p)), "image": list(map(str, image))}, True
 
 
@@ -368,7 +364,7 @@ def main(argv: list[str] | None = None) -> int:
         return exc.code if isinstance(exc.code, int) else 2
     try:
         report, ok = COMMANDS[args.command].run(args)
-    except (UsageError, ValueError) as exc:
+    except ValueError as exc:
         print(f"error: {exc}", file=sys.stderr)
         return 2
     envelope = {

@@ -36,6 +36,7 @@ from collections import namedtuple
 from dataclasses import dataclass
 from functools import cached_property
 from fractions import Fraction
+from heapq import heappop, heappush
 from operator import attrgetter
 from typing import Iterable, Sequence
 
@@ -419,25 +420,25 @@ def _merge_partner(a: AffinePiece, b: AffinePiece, d: int) -> AffinePiece | None
 
 
 def merge_pieces(pieces: Iterable[AffinePiece]) -> tuple[AffinePiece, ...]:
-    """Greedily merge sibling piece pairs until none applies (deterministic).
-
-    Works on any piece collection with pairwise-disjoint domains.  For
-    dimension 1 each piece has at most one merge partner and the result is
-    the unique fully reduced table; for higher dimensions a piece may pair in
-    several coordinates, so the deterministic sorted-scan result is reduced
-    but not canonical.
+    """Greedily merge sibling piece pairs until none applies (deterministic):
+    the least domain key that has a merge partner merges first, at its first
+    such coordinate.  Works on any piece collection with pairwise-disjoint
+    domains.  For dimension 1 each piece has at most one merge partner and the
+    result is the unique fully reduced table; for higher dimensions a piece may
+    pair in several coordinates, so the result is reduced but not canonical.
     A merge can make only the merged key, or a key that is it with one
-    trailing ``1`` made ``0``, newly mergeable: the scan resumes there.
+    trailing ``1`` made ``0``, newly mergeable: both go back on the heap.
     """
     current: dict[tuple[str, ...], AffinePiece] = {
         p.dom_words: p for p in pieces
     }
     if len(current) < 2:
         return tuple(current.values())
-    keys = sorted(current)
-    i = 0
-    while i < len(keys):
-        key = keys[i]
+    heap = sorted(current)
+    while heap:
+        key = heappop(heap)
+        if key not in current:  # merged away, or a zero side never present
+            continue
         for d, w in enumerate(key):
             if not w.endswith("0"):  # build the n-tuple key only for a 0-word
                 continue
@@ -447,18 +448,15 @@ def merge_pieces(pieces: Iterable[AffinePiece]) -> tuple[AffinePiece, ...]:
                 if merged is not None:
                     break
         else:
-            i += 1
             continue
-        for k in (key, sibling_key):
-            del current[k]
-            del keys[bisect_left(keys, k)]
+        del current[key], current[sibling_key]
         new = merged.dom_words
         current[new] = merged
-        insort(keys, new)
-        ones = [c for c, u in enumerate(new) if u.endswith("1")]
-        zero_sides = [new[:c] + (new[c][:-1] + "0",) + new[c + 1:] for c in ones]
-        i = bisect_left(keys, min([new] + [k for k in zero_sides if k in current]))
-    return tuple(current[k] for k in keys)
+        heappush(heap, new)
+        for c, u in enumerate(new):
+            if u.endswith("1"):
+                heappush(heap, new[:c] + (u[:-1] + "0",) + new[c + 1:])
+    return tuple(current[k] for k in sorted(current))
 
 
 def simplify(g: Element) -> Element:

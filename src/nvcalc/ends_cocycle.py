@@ -78,7 +78,7 @@ from nvcalc.element_algebra import (
     simplify,
 )
 from nvcalc.reporting import CheckReport, CheckResult
-from nvcalc.words_generators import _generator_inverse, gen_set_S
+from nvcalc.words_generators import _check_suite_dim, _generator_inverse, gen_set_S
 
 __all__ = [
     "CosetRep",
@@ -598,8 +598,7 @@ def properness_bound_check(
     10^(4300 // n) - 5: past it, (total + 4)^n would not print within
     Python's default 4,300-digit int-to-str limit.
     """
-    if n < 1:
-        raise ValueError("dimension must be >= 1")
+    _check_suite_dim(n)  # S has about 3n letters of n words: its cost is n^2
     if ball_radius < 0:
         raise ValueError("ball radius must be >= 0")
     if depth is not None:

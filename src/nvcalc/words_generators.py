@@ -28,8 +28,9 @@ from __future__ import annotations
 import re
 from dataclasses import dataclass
 from functools import lru_cache
+from itertools import islice
 from math import isqrt
-from typing import Callable, Sequence
+from typing import Iterator, Sequence
 
 from nvcalc.dyadic_core import Rect, rect_Ir
 from nvcalc.element_algebra import (
@@ -105,8 +106,9 @@ class Word:
     symbols: tuple[GenSymbol, ...] = ()
 
 
-_TERM_RE = re.compile(
-    r"^(?:(X|C)\[(\d+),(\d+)\]|(Pb|P)\[(\d+)\])(?:\^(-?\d+))?$"
+_TERM_RE = re.compile(  # a digit run past 4,300 digits is a bad term, not int()'s error
+    r"^(?:(X|C)\[(\d{1,4300}),(\d{1,4300})\]|(Pb|P)\[(\d{1,4300})\])"
+    r"(?:\^(-?\d{1,4300}))?$"
 )
 
 
@@ -294,10 +296,12 @@ def eval_word(word: Word | str, n: int) -> Element:
 #: The largest dimension the suites take: their checks cost about n^3 (at n = 32,
 #: ``relation_suite`` takes 1.6 s and ``corollary_checks`` 0.6 s on a 2-vCPU machine).
 MAX_SUITE_DIM = 32
+#: The most identities a suite checks; ``relation_suite(1, 68)`` (16,154) takes 3.9 s.
+MAX_IDENTITIES = 2**14
 
 
 def _check_suite_dim(n: int) -> None:
-    """Before a suite's first identity: 1 <= n <= ``MAX_SUITE_DIM``."""
+    """Before a suite or the properness ball is built: 1 <= n <= ``MAX_SUITE_DIM``."""
     Rect.cube(n)  # n >= 1 and n <= MAX_DIM, with every command's messages
     if n > MAX_SUITE_DIM:
         raise ValueError(f"dimension must be <= {MAX_SUITE_DIM} for a suite, got {n}")
@@ -307,11 +311,16 @@ def _words_equal(lhs: str, rhs: str, n: int) -> bool:
     return equals(eval_word(lhs, n), eval_word(rhs, n))
 
 
-def _identity_adder(report: CheckReport, n: int) -> Callable[[str, str, str], None]:
-    """``add(section, lhs, rhs)``: append the check that two words are equal."""
-    return lambda section, lhs, rhs: report.checks.append(
-        CheckResult(section, f"{lhs} = {rhs}", _words_equal(lhs, rhs, n))
-    )
+def _checked(report: CheckReport, identities: Iterator[tuple[str, str, str]]) -> CheckReport:
+    """``report`` with the check lhs = rhs of each ``(section, lhs, rhs)``, in order.  All
+    are listed first: ValueError past ``MAX_IDENTITIES``, before any word is evaluated."""
+    listed = list(islice(identities, MAX_IDENTITIES + 1))
+    if len(listed) > MAX_IDENTITIES:
+        raise ValueError(f"the suite has over {MAX_IDENTITIES} identities to check")
+    for section, lhs, rhs in listed:
+        holds = _words_equal(lhs, rhs, report.n)
+        report.checks.append(CheckResult(section, f"{lhs} = {rhs}", holds))
+    return report
 
 
 def relation_suite(n: int, i_max: int = 3) -> CheckReport:
@@ -328,46 +337,46 @@ def relation_suite(n: int, i_max: int = 3) -> CheckReport:
     extra = 1 if n == 1 else 2  # X[d,i+1]; C[d,i+2] if n >= 2
     note = f" (i_max must be <= {isqrt(MAX_PIECES) - extra} in dimension {n})"
     _check_index(i_max + extra, note)
-    report = CheckReport("relation_suite", n, {"i_max": i_max})
     ds = range(1, n + 1)
     dps = range(2, n + 1)
     idx = range(0, i_max + 1)
 
-    add = _identity_adder(report, n)
-    for i in idx:
+    def identities() -> Iterator[tuple[str, str, str]]:
+        for i in idx:
+            for j in idx:
+                if not i < j:
+                    continue
+                for d in ds:
+                    for d2 in ds:
+                        yield "XX_shift", f"X[{d2},{j}] X[{d},{i}]", f"X[{d},{i}] X[{d2},{j+1}]"
+                    for d2 in dps:
+                        yield "CX_shift", f"C[{d2},{j}] X[{d},{i}]", f"X[{d},{i}] C[{d2},{j+1}]"
+                    for y in ("P", "Pb"):
+                        yield "YX_shift", f"{y}[{j}] X[{d},{i}]", f"X[{d},{i}] {y}[{j+1}]"
         for j in idx:
-            if not i < j:
-                continue
-            for d in ds:
-                for d2 in ds:
-                    add("XX_shift", f"X[{d2},{j}] X[{d},{i}]", f"X[{d},{i}] X[{d2},{j+1}]")
+            for i in idx:
+                if not i > j + 1:
+                    continue
+                for d in ds:
+                    yield "PX_commute", f"P[{j}] X[{d},{i}]", f"X[{d},{i}] P[{j}]"
                 for d2 in dps:
-                    add("CX_shift", f"C[{d2},{j}] X[{d},{i}]", f"X[{d},{i}] C[{d2},{j+1}]")
-                for y in ("P", "Pb"):
-                    add("YX_shift", f"{y}[{j}] X[{d},{i}]", f"X[{d},{i}] {y}[{j+1}]")
-    for j in idx:
+                    yield "PC_commute", f"P[{j}] C[{d2},{i}]", f"C[{d2},{i}] P[{j}]"
+        for j in idx:
+            for i in idx:
+                if abs(i - j) > 2:
+                    yield "PP_commute", f"P[{j}] P[{i}]", f"P[{i}] P[{j}]"
+        for j in idx:
+            for i in idx:
+                if j > i + 1:
+                    yield "PbP_commute", f"Pb[{j}] P[{i}]", f"P[{i}] Pb[{j}]"
         for i in idx:
-            if not i > j + 1:
-                continue
-            for d in ds:
-                add("PX_commute", f"P[{j}] X[{d},{i}]", f"X[{d},{i}] P[{j}]")
+            yield "PbX_braid", f"Pb[{i}] X[1,{i}]", f"P[{i}] Pb[{i+1}]"
             for d2 in dps:
-                add("PC_commute", f"P[{j}] C[{d2},{i}]", f"C[{d2},{i}] P[{j}]")
-    for j in idx:
-        for i in idx:
-            if abs(i - j) > 2:
-                add("PP_commute", f"P[{j}] P[{i}]", f"P[{i}] P[{j}]")
-    for j in idx:
-        for i in idx:
-            if j > i + 1:
-                add("PbP_commute", f"Pb[{j}] P[{i}]", f"P[{i}] Pb[{j}]")
-    for i in idx:
-        add("PbX_braid", f"Pb[{i}] X[1,{i}]", f"P[{i}] Pb[{i+1}]")
-        for d2 in dps:
-            add("CX_braid", f"C[{d2},{i}] X[1,{i}]", f"X[{d2},{i}] C[{d2},{i+2}] P[{i+1}]")
-        for d in ds:
-            add("PX_braid", f"P[{i}] X[{d},{i}]", f"X[{d},{i+1}] P[{i}] P[{i+1}]")
-    return report
+                yield "CX_braid", f"C[{d2},{i}] X[1,{i}]", f"X[{d2},{i}] C[{d2},{i+2}] P[{i+1}]"
+            for d in ds:
+                yield "PX_braid", f"P[{i}] X[{d},{i}]", f"X[{d},{i+1}] P[{i}] P[{i+1}]"
+
+    return _checked(CheckReport("relation_suite", n, {"i_max": i_max}), identities())
 
 
 def _x0_conjugate(d: int, k: int, middle: str) -> str:
@@ -388,39 +397,35 @@ def corollary_checks(n: int, i_max: int = 4) -> CheckReport:
         raise ValueError("i_max must be >= 2 to reach every family")
     note = f" (i_max must be <= {isqrt(MAX_PIECES)} in dimension {n})"
     _check_index(i_max, note)  # X[d,i_max]
-    report = CheckReport("corollary_checks", n, {"i_max": i_max})
 
-    add = _identity_adder(report, n)
-    for d in range(1, n + 1):
-        for i in range(2, i_max + 1):
-            k = i - 1
-            add(
-                "X_conjugation",
-                f"X[{d},{i}]",
-                f"X[{d},0]^-{k} X[{d},1] X[{d},0]^{k}",
+    def identities() -> Iterator[tuple[str, str, str]]:
+        for d in range(1, n + 1):
+            for i in range(2, i_max + 1):
+                k = i - 1
+                yield "X_conjugation", f"X[{d},{i}]", f"X[{d},0]^-{k} X[{d},1] X[{d},0]^{k}"
+        for y in ("P", "Pb"):
+            for d in range(1, n + 1):
+                for i in (1, 2, 4, 5):
+                    if i > i_max + 1:
+                        continue
+                    yield f"{y}_conjugation", f"{y}[{i}]", _x0_conjugate(d, i - 3, f"{y}[3]")
+        for dp in range(2, n + 1):
+            for d in range(1, n + 1):
+                for i in (1, 3, 4):
+                    if i > i_max:
+                        continue
+                    yield "C_conjugation", f"C[{dp},{i}]", _x0_conjugate(d, i - 2, f"C[{dp},2]")
+        yield "Pb0_recovery", "Pb[0]", "P[0] Pb[1] X[1,0]^-1"
+        yield "Pb0_recovery", "Pb[0]", "P[0] X[1,0]^2 Pb[3] X[1,0]^-3"
+        for dp in range(2, n + 1):
+            yield "C0_recovery", f"C[{dp},0]", f"X[{dp},0] C[{dp},2] P[1] X[1,0]^-1"
+            yield (
+                "C0_recovery",
+                f"C[{dp},0]",
+                f"X[{dp},0] C[{dp},2] X[1,0]^2 P[3] X[1,0]^-3",
             )
-    for y in ("P", "Pb"):
-        for d in range(1, n + 1):
-            for i in (1, 2, 4, 5):
-                if i > i_max + 1:
-                    continue
-                add(f"{y}_conjugation", f"{y}[{i}]", _x0_conjugate(d, i - 3, f"{y}[3]"))
-    for dp in range(2, n + 1):
-        for d in range(1, n + 1):
-            for i in (1, 3, 4):
-                if i > i_max:
-                    continue
-                add("C_conjugation", f"C[{dp},{i}]", _x0_conjugate(d, i - 2, f"C[{dp},2]"))
-    add("Pb0_recovery", "Pb[0]", "P[0] Pb[1] X[1,0]^-1")
-    add("Pb0_recovery", "Pb[0]", "P[0] X[1,0]^2 Pb[3] X[1,0]^-3")
-    for dp in range(2, n + 1):
-        add("C0_recovery", f"C[{dp},0]", f"X[{dp},0] C[{dp},2] P[1] X[1,0]^-1")
-        add(
-            "C0_recovery",
-            f"C[{dp},0]",
-            f"X[{dp},0] C[{dp},2] X[1,0]^2 P[3] X[1,0]^-3",
-        )
-    return report
+
+    return _checked(CheckReport("corollary_checks", n, {"i_max": i_max}), identities())
 
 
 def left_quarter(n: int) -> Rect:

@@ -183,6 +183,22 @@ def test_library_value_error_exit_two(capsys, argv):
         (["relations", "--n", "1000"], "error: dimension must be <= 32 for a suite, got 1000\n"),
         (["corollaries", "--n", "33"], "error: dimension must be <= 32 for a suite, got 33\n"),
         (["premises", "--n", "33"], "error: dimension must be <= 32 for a suite, got 33\n"),
+        (
+            ["properness", "--n", "33", "--ball", "0"],
+            "error: dimension must be <= 32 for a suite, got 33\n",
+        ),
+        (
+            ["properness", "--n", "100000", "--ball", "0"],
+            f"error: dimension must be <= {MAX_DIM}, got 100000\n",
+        ),
+        (
+            ["relations", "--n", "32", "--imax", "254"],
+            "error: the suite has over 16384 identities to check\n",
+        ),
+        (
+            ["eval", "--n", "1", "--word", f"X[1,0] P[{'1' * 5000}]"],
+            "error: syntax error at position 7: bad term 'P[11111",
+        ),
     ],
     ids=[
         "properness-ball",
@@ -207,6 +223,10 @@ def test_library_value_error_exit_two(capsys, argv):
         "relations-n",
         "corollaries-n",
         "premises-n",
+        "properness-n33",
+        "properness-n100000",
+        "relations-identities",
+        "eval-index-digits",
     ],
 )
 def test_boundary_inputs_exit_two(capsys, argv, message):
@@ -218,7 +238,9 @@ def test_boundary_inputs_exit_two(capsys, argv, message):
     printing limit, a generator index of 10^8 whose table costs i^2 to
     build, a relation suite reaching index 100001, rejected before its first
     identity, a 2^41-rectangle enumeration, more than ``MAX_MEMBERS``
-    counts, a suite past its dimension budget, whose checks cost about n^3).
+    counts, a suite past its dimension budget, whose checks cost about n^3,
+    the properness ball past it, whose set S costs n^2 before the radius is
+    read, a relation suite of 6.7e7 identities, a 5,000-digit index).
     A suite's index error names the largest i_max allowed; those cases, the
     suites' dimension budget and the count budgets give the whole stderr
     line."""

@@ -368,15 +368,26 @@ def test_restrict_and_apply_match_linear_scans(spec):
 @given(elements)
 @settings(max_examples=80, deadline=None)
 def test_merge_pieces_matches_restart_scan(spec):
+    """Random, refined, composed and restricted tables, an n = 3 pinwheel
+    table with expanded cells, and a cascade in which merging the halves of
+    x_1 in [1/2, 1) lets the already scanned key of [0, 1/2) merge with it:
+    every input order gives the restart scan's table."""
     rng, g, fine = build(*spec)
     other = random_element(g.dim, rng.randint(1, 24), rng)
+    rest = ("",) * (g.dim - 1)
+    cascade = [AffinePiece(Rect((w, *rest)), Rect((w, *rest))) for w in ("0", "10", "11")]
+    assert merge_pieces(cascade) == (AffinePiece(Rect.cube(g.dim), Rect.cube(g.dim)),)
     for pieces in (
         fine.pieces,
         refined(fine, rng, 40).pieces,
         compose(fine, other).pieces,
         restrict(fine, random_rect(rng, g.dim)),
+        refined(pinwheel_element(rng, rng.random() < 0.5), rng, 12).pieces,
+        cascade,
     ):
-        assert merge_pieces(pieces) == merge_pieces_restart(pieces)
+        expected = merge_pieces_restart(pieces)
+        for order in (pieces, pieces[::-1], rng.sample(pieces, len(pieces))):
+            assert merge_pieces(order) == expected
 
 
 def meeting(e, r):

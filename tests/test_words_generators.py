@@ -93,6 +93,12 @@ def test_parse_error_positions():
         parse_word("X[1,0]^0")
     with pytest.raises(ValueError, match="position 0"):
         parse_word("Pb[2,0]")
+    digits = "1" * 5000  # past int()'s 4,300-digit limit: a bad term, not its error
+    for term in (f"P[{digits}]", f"X[1,0]^{digits}", f"X[1,0]^-{digits}", f"C[{digits},1]"):
+        with pytest.raises(ValueError) as err:
+            parse_word(f"X[1,0] {term}")
+        assert str(err.value) == f"syntax error at position 7: bad term {term!r}"
+    assert parse_word(f"P[{'0' * 4299}1]") == Word((GenSymbol("P", None, 1),))
 
 
 def test_memoised_terms_keep_their_own_positions_and_errors():
@@ -435,15 +441,22 @@ def test_suite_dimension_budget_is_checked_before_any_identity(monkeypatch, suit
 
 
 @pytest.mark.parametrize(
-    "suite, n, top",
-    [(relation_suite, 1, 255), (relation_suite, 2, 254), (corollary_checks, 1, 256)],
+    "suite, n, top, evaluates",
+    [
+        (relation_suite, 1, 255, False),
+        (relation_suite, 2, 254, False),
+        (corollary_checks, 1, 256, True),
+    ],
     ids=["relations-n1", "relations-n2", "corollaries"],
 )
-def test_suite_index_bound_is_checked_before_any_identity(monkeypatch, suite, n, top):
+def test_suite_index_bound_is_checked_before_any_identity(monkeypatch, suite, n, top, evaluates):
     """The largest index a suite builds is i_max + 1 for the relations at
     n = 1, i_max + 2 at n >= 2 (``C[d,i+2]``) and i_max for the corollaries
     (from i_max = 5 on).  It gets the generators' bound (256) before any
-    word is evaluated: the top i_max starts evaluating, one above it raises."""
+    word is evaluated: the top i_max passes it, one above it raises.  The top
+    i_max of the corollaries (265 identities) then starts evaluating; the
+    relations there list 227,464 and 517,150, over the identity budget, which
+    stops them unevaluated."""
     import nvcalc.words_generators as wg
 
     calls = []
@@ -457,8 +470,13 @@ def test_suite_index_bound_is_checked_before_any_identity(monkeypatch, suite, n,
         raise _Evaluated
 
     monkeypatch.setattr(wg, "_words_equal", first)
-    with pytest.raises(_Evaluated):
-        suite(n, top)
+    if evaluates:
+        with pytest.raises(_Evaluated):
+            suite(n, top)
+    else:
+        message = f"^the suite has over {wg.MAX_IDENTITIES} identities to check$"
+        with pytest.raises(ValueError, match=message):
+            suite(n, top)
     for i_max in (top + 1, 100000):
         message = f"index must be <= 256, got {i_max + 256 - top}"
         with pytest.raises(ValueError, match=message):
