@@ -15,6 +15,7 @@ import argparse
 import json
 import sys
 from fractions import Fraction
+from functools import cache
 from typing import Any, Callable, NamedTuple
 
 from nvcalc import __version__
@@ -333,6 +334,7 @@ def _render_text(envelope: dict[str, Any]) -> str:
     return "\n".join(lines) + "\n"
 
 
+@cache  # rows hold only types, choices and defaults: parse_args keeps no state
 def build_parser() -> argparse.ArgumentParser:
     parser = argparse.ArgumentParser(
         prog="nvcalc",

@@ -113,13 +113,15 @@ class AffinePiece:
         return self.dom_words == self.ran_words
 
     def apply_point(self, p: Point) -> Point:
-        """Exact image of a point of the (half-open) domain."""
+        """Exact image of a point of the (half-open) domain, on integers: for
+        x = a/b, s/b is x's place in u's interval; one Fraction per coordinate."""
         out = []
         for u, v, x in zip(self.dom_words, self.ran_words, p):
-            s = x * 2 ** len(u) - int(u or "0", 2)  # x's place in u's interval
-            if not 0 <= s < 1:
+            a, b = x.numerator, x.denominator
+            s = (a << len(u)) - int(u or "0", 2) * b
+            if not 0 <= s < b:
                 raise ValueError(f"{x} outside domain word {u!r}")
-            out.append(Fraction(int(v or "0", 2) + s, 2 ** len(v)))
+            out.append(Fraction(int(v or "0", 2) * b + s, b << len(v)))
         return tuple(out)
 
     def inverted(self) -> "AffinePiece":
@@ -323,12 +325,14 @@ def inverse(g: Element) -> Element:
 
 def apply(g: Element, p: Point) -> Point:
     """Exact image of a point of the half-open cube (no coordinate equals 1).
-    Coordinate d is read once as a word of ``g._cut[d]`` bits; the point lies
-    in the one of those words' ``_candidates`` whose domain words prefix them."""
+    Coordinate d = a/b is read once, on integers, as the word of ``g._cut[d]``
+    bits c of ``(a << c) // b``; the point lies in the one of those words'
+    ``_candidates`` whose domain words prefix them."""
     if len(p) != g.dim:
         raise ValueError(f"point dimension {len(p)} != element dimension {g.dim}")
-    if all(0 <= x < 1 for x in p):
-        words = tuple(bin(int(x * 2**c) + 2**c)[3:] for x, c in zip(p, g._cut))
+    ab = [(x.numerator, x.denominator) for x in p]
+    if all(0 <= a < b for a, b in ab):
+        words = tuple(bin((a << c) // b + (1 << c))[3:] for (a, b), c in zip(ab, g._cut))
         for piece in _candidates(g, words):
             if all(map(str.startswith, words, piece.dom_words)):
                 return piece.apply_point(p)

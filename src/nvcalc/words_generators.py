@@ -298,6 +298,9 @@ def eval_word(word: Word | str, n: int) -> Element:
 MAX_SUITE_DIM = 32
 #: The most identities a suite checks; ``relation_suite(1, 68)`` (16,154) takes 3.9 s.
 MAX_IDENTITIES = 2**14
+#: The corollaries' bound on n * i_max^2, their conjugations' cost; ``corollary_checks``
+#: takes 0.9 s at (1, 256), 1.0 s at (4, 128), 2.5 s at (16, 64) and 4.4 s at (32, 45).
+MAX_COROLLARY_COST = 2**16
 
 
 def _check_suite_dim(n: int) -> None:
@@ -397,6 +400,10 @@ def corollary_checks(n: int, i_max: int = 4) -> CheckReport:
         raise ValueError("i_max must be >= 2 to reach every family")
     note = f" (i_max must be <= {isqrt(MAX_PIECES)} in dimension {n})"
     _check_index(i_max, note)  # X[d,i_max]
+    if n * i_max * i_max > MAX_COROLLARY_COST:
+        top = isqrt(MAX_COROLLARY_COST // n)
+        raise ValueError(f"the corollaries take n * i_max^2 <= {MAX_COROLLARY_COST}:"
+                         f" i_max must be <= {top} in dimension {n}, got {i_max}")
 
     def identities() -> Iterator[tuple[str, str, str]]:
         for d in range(1, n + 1):

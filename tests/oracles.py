@@ -5,7 +5,9 @@ The program answers "do two rectangles meet" with ``rect_intersect`` and
 functions here answer the same questions the older way, one rectangle at a
 time: the five-way ``rect_relation``, the piece methods ``image_of`` and
 ``restrict_to`` (as functions of the piece), and ``affine_extension``, which
-recovers the one substitution from a restricted piece table.  ``corners``
+recovers the one substitution from a restricted piece table.
+``apply_point_fractions`` maps a point by one piece with ``Fraction``
+operators, the reference for ``apply_point``'s integer form.  ``corners``
 lists a pattern's corner points, 2^n per cell, and ``corner_members`` tests
 rectangles against them point by point, the reference for ``f_P_probe``'s
 per-coordinate test.  Tests import them to check the word kernel against
@@ -38,6 +40,7 @@ from __future__ import annotations
 
 import enum
 import itertools
+from fractions import Fraction
 from typing import Iterable, Sequence
 
 from nvcalc.dyadic_core import (
@@ -169,6 +172,18 @@ def corner_members(
     points = corners(pattern)
     rects = enumerate_rects(pattern[0].dim, depth)
     return tuple(r for r in rects if any(meets(r, q) for q in points))
+
+
+def apply_point_fractions(piece: AffinePiece, p: Point) -> Point:
+    """``piece.apply_point`` with ``Fraction`` operators: x's place s in u's
+    interval, then the same place in v's."""
+    out = []
+    for u, v, x in zip(piece.dom_words, piece.ran_words, p):
+        s = x * 2 ** len(u) - int(u or "0", 2)  # x's place in u's interval
+        if not 0 <= s < 1:
+            raise ValueError(f"{x} outside domain word {u!r}")
+        out.append(Fraction(int(v or "0", 2) + s, 2 ** len(v)))
+    return tuple(out)
 
 
 def image_of(piece: AffinePiece, sub: Rect) -> Rect:

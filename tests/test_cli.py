@@ -199,6 +199,11 @@ def test_library_value_error_exit_two(capsys, argv):
             ["eval", "--n", "1", "--word", f"X[1,0] P[{'1' * 5000}]"],
             "error: syntax error at position 7: bad term 'P[11111",
         ),
+        (
+            ["corollaries", "--n", "32", "--imax", "256"],
+            "error: the corollaries take n * i_max^2 <= 65536:"
+            " i_max must be <= 45 in dimension 32, got 256\n",
+        ),
     ],
     ids=[
         "properness-ball",
@@ -227,6 +232,7 @@ def test_library_value_error_exit_two(capsys, argv):
         "properness-n100000",
         "relations-identities",
         "eval-index-digits",
+        "corollaries-cost",
     ],
 )
 def test_boundary_inputs_exit_two(capsys, argv, message):
@@ -240,10 +246,11 @@ def test_boundary_inputs_exit_two(capsys, argv, message):
     identity, a 2^41-rectangle enumeration, more than ``MAX_MEMBERS``
     counts, a suite past its dimension budget, whose checks cost about n^3,
     the properness ball past it, whose set S costs n^2 before the radius is
-    read, a relation suite of 6.7e7 identities, a 5,000-digit index).
-    A suite's index error names the largest i_max allowed; those cases, the
-    suites' dimension budget and the count budgets give the whole stderr
-    line."""
+    read, a relation suite of 6.7e7 identities, a 5,000-digit index, the
+    corollaries at n = 32 and i_max = 256, whose conjugations cost about
+    n * i_max^2).  A suite's index and cost errors name the largest i_max
+    allowed; those cases, the suites' dimension budget and the count budgets
+    give the whole stderr line."""
     code, out, err = run(capsys, argv)
     assert code == 2
     assert out == ""
@@ -914,6 +921,33 @@ def test_runners_look_up_library_functions_when_they_run(capsys, name, argv):
         code, out, _ = run(capsys, argv)
     assert code == 0 and out
     spy.assert_called_once()
+
+
+def test_in_process_runs_carry_no_state(capsys):
+    """The parser is built once per process, and no run leaves anything in
+    it: after ``random --seed 5``, ``random`` prints seed 0's bytes, and after
+    a text run and a usage error a JSON run prints what it prints first."""
+    sequences = (
+        (["random", "--n", "1", "--seed", "5"], ["random", "--n", "1"]),
+        (
+            ["eval", "--n", "1", "--word", "X[1,0]", "--format", "text"],
+            ["eval", "--n", "1", "--word", "X[1,0]", "--bogus"],
+            ["eval", "--n", "1", "--word", "X[1,0]"],
+        ),
+    )
+    runs = []
+    for argvs in sequences:
+        first = []
+        for argv in argvs:
+            cli.build_parser.cache_clear()
+            first.append(run(capsys, argv))
+        runs.append([run(capsys, argv) for argv in argvs])
+        assert runs[-1] == first
+    (seeded, unseeded), (text, usage, plain) = runs
+    assert unseeded == run(capsys, ["random", "--n", "1", "--seed", "0"]) != seeded
+    assert usage[0] == 2 and "error: unrecognized arguments: --bogus" in usage[2]
+    assert text[1] != plain[1]
+    assert cli.build_parser() is cli.build_parser()
 
 
 @pytest.mark.parametrize(

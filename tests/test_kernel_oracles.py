@@ -52,6 +52,7 @@ from nvcalc.words_generators import (
 )
 from oracles import (
     affine_extension,
+    apply_point_fractions,
     contains_point,
     embed_in_half,
     expansion_rebuild,
@@ -98,7 +99,7 @@ def restrict_linear(g, r):
 def apply_linear(g, p):
     for piece in g.pieces:
         if contains_point(piece.dom, p):
-            return piece.apply_point(p)
+            return apply_point_fractions(piece, p)
     raise ValueError(f"no piece contains {p}")
 
 
@@ -531,6 +532,60 @@ def test_apply_makes_one_candidates_call(monkeypatch, seed):
                 assert apply(e, p) == apply_linear(e, p)
                 assert len(asked) == 1
                 assert tuple(map(len, asked[0])) == e._cut
+
+
+def coordinate(rng):
+    """A value in [0, 1): of denominator 2^20, 3, 61 or a random one up to
+    10^6, or the int 0."""
+    q = rng.choice((2**20, 3, 61, rng.randint(1, 10**6), None))
+    return 0 if q is None else Fraction(rng.randrange(q), q)
+
+
+def outcome(f, *args):
+    """``f``'s image with the type of each coordinate, or its ValueError's
+    message."""
+    try:
+        image = f(*args)
+    except ValueError as exc:
+        return str(exc)
+    return image, type(image), [type(y) for y in image]
+
+
+@given(st.integers(0, 10**6), st.integers(1, 3))
+@settings(max_examples=60, deadline=None)
+def test_integer_apply_matches_the_fraction_formula(seed, n):
+    """``apply`` and ``apply_point`` give the ``Fraction`` formula's images,
+    value and type, on a random refined table, ``X[d,0]^k`` (1 <= |k| <=
+    150) and their composite: at points of denominator 2^20, 3 and 61 or up
+    to 10^6, with int coordinates, at domain corners and inside sampled
+    domains.  Outside the cube, and for ``apply_point`` outside its domain,
+    both raise the formula's ValueError, message for message."""
+    rng = random.Random(seed)
+    g = refined(random_element(n, rng.randint(1, 24), rng), rng, rng.randint(0, 24))
+    k = rng.choice((-1, 1)) * rng.randint(1, 150)
+    power = eval_word(f"X[{rng.randint(1, n)},0]^{k}", n)
+    for e in (g, power, compose(g, power)):
+        some = rng.sample(e.pieces, min(6, len(e.pieces)))
+        points = [tuple(coordinate(rng) for _ in range(n)) for _ in range(6)]
+        points += [lower_corner(p.dom_words) for p in some]
+        points += [
+            tuple(
+                (int(w or "0", 2) + Fraction(coordinate(rng))) / 2 ** len(w)
+                for w in p.dom_words
+            )
+            for p in some
+        ]
+        for x in points:
+            assert outcome(apply, e, x) == outcome(apply_linear, e, x)
+            for piece in some:
+                assert outcome(piece.apply_point, x) == outcome(apply_point_fractions, piece, x)
+        d = rng.randrange(n)
+        for y in (-1, 1, 2, Fraction(-1, 3), Fraction(3, 2), Fraction(10**6, 10**6 - 1)):
+            x = points[0][:d] + (y,) + points[0][d + 1 :]
+            message = f"no piece contains {x}; element invalid or point outside cube"
+            assert outcome(apply, e, x) == message
+            for piece in some:
+                assert outcome(piece.apply_point, x) == outcome(apply_point_fractions, piece, x)
 
 
 @given(n=st.integers(1, 3), size=st.integers(1, 24), seed=st.integers(0, 10**6))

@@ -483,6 +483,28 @@ def test_suite_index_bound_is_checked_before_any_identity(monkeypatch, suite, n,
             suite(n, i_max)
 
 
+@pytest.mark.parametrize("n, top", [(1, 256), (4, 128), (16, 64), (32, 45)])
+def test_corollary_cost_budget_is_checked_before_any_identity(monkeypatch, n, top):
+    """The corollaries' conjugations cost about n * i_max^2: the largest i_max
+    with n * i_max^2 <= ``MAX_COROLLARY_COST`` reaches the identity list, one
+    above it raises before the list is made, naming that i_max (at n = 1 the
+    index bound, 256, comes first)."""
+    def first(*args):
+        raise _Evaluated
+
+    monkeypatch.setattr(words_generators, "_checked", first)
+    with pytest.raises(_Evaluated):
+        corollary_checks(n, top)
+    message = (
+        f"the corollaries take n * i_max^2 <= 65536: i_max must be <= {top}"
+        f" in dimension {n}, got {top + 1}"
+    )
+    if n == 1:
+        message = "index must be <= 256, got 257"
+    with pytest.raises(ValueError, match=f"^{re.escape(message)}"):
+        corollary_checks(n, top + 1)
+
+
 def test_relation_suite_catches_corrupted_splitter(monkeypatch):
     import nvcalc.words_generators as wg
 
